@@ -297,7 +297,7 @@ def u_element(mu) -> PeriodicPerm:
 # the two canonical reduced words for u_mu
 
 
-def _cyl_boxes(mu):
+def boxes_of(mu):
     """Boxes (i, j) of dg(mu) in increasing cylindrical coordinate i + n*j."""
     n = len(mu)
     boxes = [
@@ -307,8 +307,9 @@ def _cyl_boxes(mu):
     return boxes
 
 
-def _u_stat(mu, i, j):
-    """u_mu(i, j) with u + 1 = n - #attack(i, j)."""
+def u_stat(mu, i, j):
+    """u_mu(i, j) with u + 1 = n - #attack(i, j); the attack window is
+    the n - 1 preceding cylindrical coordinates in the extended diagram."""
     n = len(mu)
     b = i + n * j
     count = 0
@@ -329,8 +330,8 @@ def box_greedy_word(mu):
     """
     mu = check_weight(mu, nonneg=True)
     word = []
-    for i, j in _cyl_boxes(mu):
-        u = _u_stat(mu, i, j)
+    for i, j in boxes_of(mu):
+        u = u_stat(mu, i, j)
         word.extend(f"s{k}" for k in range(u, 0, -1))
         word.append("pi")
     return tuple(word)

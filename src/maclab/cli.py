@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Verbs: E, P, f, F, count, word, inv, fillings, walks, cst, verify.
+Verbs: E, P, f, F, count, word, inv, fillings, walks, verify.
 Output is byte-deterministic for a fixed command; JSON documents carry
 the schema tag "macdonald-lab/1".  Exit codes: 0 success, 1 verification
 failure, 2 malformed input.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import affine, diagrams, macdonald, verify
@@ -18,25 +17,6 @@ from . import permutations as fperm
 from .errors import MacLabError
 
 SCHEMA = "macdonald-lab/1"
-
-
-def _thread_cap() -> int:
-    """Honor MACLAB_THREADS as an upper bound on parallelism.
-
-    All computation is currently serial and deterministic, so any
-    positive cap is satisfied trivially; the variable is validated here
-    so misconfiguration fails fast.
-    """
-    raw = os.environ.get("MACLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise MacLabError(f"MACLAB_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise MacLabError(f"MACLAB_THREADS must be a positive integer, got {raw!r}")
-    return 1
 
 
 def _parse_ints(text):
@@ -221,18 +201,13 @@ def cmd_walks(args):
     return 0
 
 
-def cmd_cst(args):
-    lam = _check_n(args, args.mu, "--lam")
-    res = diagrams.cst_expand(tuple(x for x in lam if x), args.n)
-    return _emit_poly(args, "cst", lam, res.poly)
-
-
 def cmd_verify(args):
-    try:
-        results = verify.run_suite(args.suite, args.n)
-    except KeyError:
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
+    if args.n < 1:
+        raise MacLabError(f"--n must be at least 1, got {args.n}")
+    results = verify.run_suite(args.suite, args.n)
+    if not results:
+        print(f"suite {args.suite!r} has no checks at n = {args.n}", file=sys.stderr)
+        return 1
     failed = 0
     for name, ok, detail in results:
         if not ok:
@@ -303,10 +278,6 @@ def build_parser():
     common(sp, with_z=True)
     sp.set_defaults(func=cmd_walks)
 
-    sp = sub.add_parser("cst", help="column-strict-tableau expansion of P_lambda")
-    common(sp, mu_flag="--lam")
-    sp.set_defaults(func=cmd_cst)
-
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument(
         "--suite",
@@ -322,7 +293,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         return args.func(args)
     except MacLabError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -13,22 +13,14 @@ from fractions import Fraction
 from math import factorial
 
 from . import permutations as fperm
-from .affine import AffineRoot, PeriodicPerm, box_greedy_word
+from .affine import AffineRoot, PeriodicPerm, box_greedy_word, boxes_of, u_stat
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, check_weight
-from .macdonald import MacdonaldResult
+from .macdonald import MacdonaldResult, _poch, _single_box_coeff
 from .ratfunc import RF_ONE, RF_T, RatFunc, one_minus
 
 # ---------------------------------------------------------------------------
 # diagrams and box statistics
-
-
-def boxes_of(mu):
-    """Boxes of dg(mu) in increasing cylindrical coordinate."""
-    n = len(mu)
-    out = [(i, j) for i in range(1, n + 1) for j in range(1, mu[i - 1] + 1)]
-    out.sort(key=lambda b: b[0] + n * b[1])
-    return out
 
 
 @dataclass(frozen=True)
@@ -108,11 +100,6 @@ def narm_count_formula(mu, i, j):
         if (j - 1 == 0 or mu[i2 - 1] >= j - 1) and mu[i2 - 1] < mu[i - 1]
     )
     return first + second
-
-
-def u_stat(mu, i, j):
-    """u_mu(i, j) with u + 1 = n - #attack(i, j)."""
-    return len(mu) - 1 - len(attack_set(mu, i, j))
 
 
 @dataclass(frozen=True)
@@ -487,13 +474,6 @@ def _strip_ok(lam, mu):
     return True
 
 
-def _poch_qt(qexp: int, texp: int, r: int) -> RatFunc:
-    out = RF_ONE
-    for k in range(r):
-        out = out * one_minus(RatFunc.qt_monomial(qexp + k, texp))
-    return out
-
-
 def psi_strip(lam, mu) -> RatFunc:
     """psi_{lam/mu} for a horizontal strip, as a finite q-Pochhammer
     product over pairs 1 <= i <= j <= l(mu):
@@ -521,10 +501,10 @@ def psi_strip(lam, mu) -> RatFunc:
             continue
         for j in range(i, ell + 1):
             d = j - i
-            out = out * _poch_qt(mu_pad[i - 1] - mu_pad[j - 1], d + 1, r)
-            out = out * _poch_qt(mu_pad[i - 1] - lam_pad[j] + 1, d, r)
-            out = out / _poch_qt(mu_pad[i - 1] - lam_pad[j], d + 1, r)
-            out = out / _poch_qt(mu_pad[i - 1] - mu_pad[j - 1] + 1, d, r)
+            out = out * _poch(mu_pad[i - 1] - mu_pad[j - 1], d + 1, r)
+            out = out * _poch(mu_pad[i - 1] - lam_pad[j] + 1, d, r)
+            out = out / _poch(mu_pad[i - 1] - lam_pad[j], d + 1, r)
+            out = out / _poch(mu_pad[i - 1] - mu_pad[j - 1] + 1, d, r)
     return out
 
 
@@ -595,8 +575,7 @@ def filling_weight(T: Filling) -> RatFunc:
     boxes = boxes_of(mu)
     if len(boxes) == 1 and max(mu) == 1:
         (j, _), = boxes
-        a = T.z.index(T.values[0]) + 1
-        return _single_box_weight(n, j, T.z, a)
+        return _single_box_coeff(T.z, j, T.z.index(T.values[0]) + 1)
     if len(boxes) == 2 and max(mu) == 1:
         if T.z != fperm.identity(n):
             raise InvalidInputError(
@@ -605,23 +584,6 @@ def filling_weight(T: Filling) -> RatFunc:
         j1, j2 = (b[0] for b in boxes)
         return _two_box_column_weight(n, j1, j2, T.values[0], T.values[1])
     raise InvalidInputError("weights are tabulated only for <= 2 box columns")
-
-
-def _single_box_weight(n, j, z, a) -> RatFunc:
-    """c_a from the closed single-box expansion."""
-    if a == j:
-        return RF_ONE
-    base = one_minus(RF_T) / one_minus(RatFunc.qt_monomial(1, n - j + 1))
-    za, zj = z[a - 1], z[j - 1]
-    if zj < za:
-        cnt = sum(
-            1
-            for k in range(j + 1, n + 1)
-            if z[k - 1] < zj < za or zj < za < z[k - 1]
-        )
-        return base * RatFunc.qt_monomial(1, cnt)
-    cnt = sum(1 for k in range(j + 1, n + 1) if za < z[k - 1] < zj)
-    return base * RatFunc.t_power(cnt)
 
 
 def _two_box_column_weight(n, j1, j2, a, b) -> RatFunc:

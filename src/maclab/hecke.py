@@ -136,14 +136,9 @@ def apply_T_reference(i: int, f: LaurentPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # g, g_vee, Y_i
 
-_CYCLE_CACHE = {}
-
-
 def _long_cycle(n):
     """s_1 s_2 ... s_{n-1} as a one-line permutation: i -> i + 1 mod n."""
-    if n not in _CYCLE_CACHE:
-        _CYCLE_CACHE[n] = tuple(list(range(2, n + 1)) + [1])
-    return _CYCLE_CACHE[n]
+    return tuple(range(2, n + 1)) + (1,)
 
 
 def apply_g(f: LaurentPoly) -> LaurentPoly:
@@ -159,15 +154,8 @@ def apply_g_inv(f: LaurentPoly) -> LaurentPoly:
 def apply_gvee(f: LaurentPoly) -> LaurentPoly:
     """g_vee f = x_1 T_1 ... T_{n-1} f (T_{n-1} first)."""
     n = f.n
-    out = apply_tT_chain(range(n - 1, 0, -1), f)
+    out = apply_tT_word(range(1, n), f)
     return out.mul_monomial((1,) + (0,) * (n - 1), RatFunc.v_power(-(n - 1)))
-
-
-def apply_tT_chain(indices, f: LaurentPoly) -> LaurentPoly:
-    """Apply t^(1/2) T_i for each i in indices, first entry first."""
-    for i in indices:
-        f = apply_tT(i, f)
-    return f
 
 
 def apply_Y(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -177,7 +165,7 @@ def apply_Y(i: int, f: LaurentPoly) -> LaurentPoly:
         raise InvalidInputError(f"Y_{i} needs 1 <= i <= {n}")
     for j in range(i - 1, 0, -1):
         f = apply_T_inv(j, f)
-    f = apply_g(apply_tT_chain(range(1, n), f)).scale(
+    f = apply_g(apply_tT_word(range(n - 1, 0, -1), f)).scale(
         RatFunc.v_power(-(n - 1))
     )
     for j in range(1, i):
@@ -186,18 +174,16 @@ def apply_Y(i: int, f: LaurentPoly) -> LaurentPoly:
 
 
 def apply_Y_inv(i: int, f: LaurentPoly) -> LaurentPoly:
-    """Y_i^(-1) f."""
+    """Y_i^(-1) f = T_{i-1} ... T_1 Y_1^(-1) T_1 ... T_{i-1} f with
+    Y_1^(-1) = T_1^(-1) ... T_{n-1}^(-1) g^(-1)."""
     n = f.n
     if not 1 <= i <= n:
         raise InvalidInputError(f"Y_{i} needs 1 <= i <= {n}")
-    for j in range(1, i):
-        f = apply_T(j, f)
+    f = apply_T_word(range(1, i), f)
     f = apply_g_inv(f)
     for j in range(n - 1, 0, -1):
         f = apply_T_inv(j, f)
-    for j in range(i - 1, 0, -1):
-        f = apply_T(j, f)
-    return f
+    return apply_T_word(range(i - 1, 0, -1), f)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +231,10 @@ def _op_index(text, n, top):
     return i
 
 
-def apply_T_word(word, f: LaurentPoly, inverse: bool = False) -> LaurentPoly:
-    """T_z f for z = s_{word[0]} s_{word[1]} ... (rightmost letter first).
-
-    With inverse=True applies T_z^(-1) instead.
-    """
-    if inverse:
-        for i in word:
-            f = apply_T_inv(i, f)
-    else:
-        for i in reversed(word):
-            f = apply_T(i, f)
+def apply_T_word(word, f: LaurentPoly) -> LaurentPoly:
+    """T_z f for z = s_{word[0]} s_{word[1]} ... (rightmost letter first)."""
+    for i in reversed(word):
+        f = apply_T(i, f)
     return f
 
 
@@ -266,9 +245,9 @@ def apply_tT_word(word, f: LaurentPoly) -> LaurentPoly:
     return f
 
 
-def apply_T_perm(z, f: LaurentPoly, inverse: bool = False) -> LaurentPoly:
-    """T_z (or T_z^-1) along the lex-smallest reduced word of z."""
-    return apply_T_word(fperm.reduced_word(z), f, inverse=inverse)
+def apply_T_perm(z, f: LaurentPoly) -> LaurentPoly:
+    """T_z along the lex-smallest reduced word of z."""
+    return apply_T_word(fperm.reduced_word(z), f)
 
 
 def hecke_symmetrize_sum(f: LaurentPoly) -> LaurentPoly:

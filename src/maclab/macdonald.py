@@ -181,41 +181,42 @@ def symmetrization_constant(mu) -> RatFunc:
 # closed forms
 
 
-def closed_single_box(j: int, z) -> MacdonaldResult:
-    """E_{eps_j}^z = sum_a c_a x_{z(a)} with the explicit c_a.
+def _single_box_coeff(z, j: int, a: int) -> RatFunc:
+    """c_a, the coefficient of x_{z(a)} in E_{eps_j}^z (1 <= a <= j).
 
     c_j = 1; for a < j, with B = (1-t)/(1 - q t^(n-j+1)),
     c_a = B q t^C(a) if z(j) < z(a) and B t^C(a) if z(j) > z(a), where
     C(a) counts k in {j+1..n} strictly between in the stated sense.
     """
+    if a == j:
+        return RF_ONE
+    n = len(z)
+    base = one_minus(RF_T) / one_minus(RatFunc.qt_monomial(1, n - j + 1))
+    za, zj = z[a - 1], z[j - 1]
+    if zj < za:
+        cnt = sum(
+            1
+            for k in range(j + 1, n + 1)
+            if z[k - 1] < zj < za or zj < za < z[k - 1]
+        )
+        return base * RatFunc.qt_monomial(1, cnt)
+    cnt = sum(1 for k in range(j + 1, n + 1) if za < z[k - 1] < zj)
+    return base * RatFunc.t_power(cnt)
+
+
+def closed_single_box(j: int, z) -> MacdonaldResult:
+    """E_{eps_j}^z = sum_{a <= j} c_a x_{z(a)}, c_a from _single_box_coeff."""
     z = fperm.check_perm(z)
     n = len(z)
     if not 1 <= j <= n:
         raise InvalidInputError(f"box row {j} out of range")
-    base = one_minus(RF_T) / one_minus(RatFunc.qt_monomial(1, n - j + 1))
-    terms = {}
     mu = [0] * n
     mu[j - 1] = 1
-
-    def x_of(val):
+    terms = {}
+    for a in range(1, j + 1):
         e = [0] * n
-        e[val - 1] = 1
-        return tuple(e)
-
-    terms[x_of(z[j - 1])] = RF_ONE
-    for a in range(1, j):
-        za, zj = z[a - 1], z[j - 1]
-        if zj < za:
-            cnt = sum(
-                1
-                for k in range(j + 1, n + 1)
-                if z[k - 1] < zj < za or zj < za < z[k - 1]
-            )
-            c = base * RatFunc.qt_monomial(1, cnt)
-        else:
-            cnt = sum(1 for k in range(j + 1, n + 1) if za < z[k - 1] < zj)
-            c = base * RatFunc.t_power(cnt)
-        terms[x_of(za)] = c
+        e[z[a - 1] - 1] = 1
+        terms[tuple(e)] = _single_box_coeff(z, j, a)
     return MacdonaldResult(
         tuple(mu), LaurentPoly(n, terms), "closed-form", z
     )

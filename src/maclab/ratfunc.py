@@ -11,7 +11,7 @@ Canonical form of a fraction num/den:
     taken in lex order with q > v.
 
 Polynomials are sympy sparse ring elements over ZZ; sympy supplies the
-bivariate gcd, everything else is done here.
+bivariate gcd and its cofactors, everything else is done here.
 
 >>> t = RatFunc.t_power(2)
 >>> (t / RatFunc.t_power(1)) == RatFunc.t_power(1)
@@ -86,10 +86,7 @@ class RatFunc:
             self.num = _ZERO
             self.den = _ONE
             return
-        g = num.gcd(den)
-        if g != _ONE:
-            num = num.quo(g)
-            den = den.quo(g)
+        _, num, den = num.cofactors(den)
         if den.LC < 0:
             num = -num
             den = -den
@@ -160,26 +157,20 @@ class RatFunc:
                 return _RF_ZERO
             if b == _ONE:
                 return RatFunc(num, _ONE, _canonical=True)
-            g = num.gcd(b)
-            if g == _ONE:
-                return RatFunc(num, b, _canonical=True)
-            return RatFunc(num.quo(g), b.quo(g), _canonical=True)
+            _, num, b = num.cofactors(b)
+            return RatFunc(num, b, _canonical=True)
         if b == _ONE:
             return RatFunc(a * d + c, d, _canonical=True)
         if d == _ONE:
             return RatFunc(a + c * b, b, _canonical=True)
-        g = b.gcd(d)
+        g, b1, d1 = b.cofactors(d)
         if g == _ONE:
             return RatFunc(a * d + c * b, b * d, _canonical=True)
-        b1 = b.quo(g)
-        d1 = d.quo(g)
         num = a * d1 + c * b1
         if not num:
             return _RF_ZERO
-        h = num.gcd(g)
-        if h == _ONE:
-            return RatFunc(num, b1 * d, _canonical=True)
-        return RatFunc(num.quo(h), (b1 * d1) * g.quo(h), _canonical=True)
+        _, num, g = num.cofactors(g)
+        return RatFunc(num, (b1 * d1) * g, _canonical=True)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den, _canonical=True)
@@ -193,15 +184,9 @@ class RatFunc:
         if not a or not c:
             return _RF_ZERO
         if d != _ONE:
-            g = a.gcd(d)
-            if g != _ONE:
-                a = a.quo(g)
-                d = d.quo(g)
+            _, a, d = a.cofactors(d)
         if b != _ONE:
-            g = c.gcd(b)
-            if g != _ONE:
-                c = c.quo(g)
-                b = b.quo(g)
+            _, c, b = c.cofactors(b)
         return RatFunc(a * c, b * d, _canonical=True)
 
     def inverse(self) -> "RatFunc":

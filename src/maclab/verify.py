@@ -110,7 +110,7 @@ SUITES = {
     "haction": suite_haction,
     "kz": suite_kz,
     "counts": suite_counts,
-    "golden": lambda n: suite_golden(n),
+    "golden": suite_golden,
 }
 
 
@@ -120,6 +120,4 @@ def run_suite(name: str, n: int):
         for key in ("eigen", "haction", "kz", "counts", "golden"):
             out.extend(SUITES[key](n))
         return out
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name](n)

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,32 @@ class TestDeterminism:
         assert a == b
 
 
+class TestGoldenDigests:
+    """SHA-256 of stdout, pinned so that refactors keep the bytes."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "E --n 4 --mu 1,0,3,4 --format json",
+                "167410c3c013fc3e33d6904ece07ba0cef98251c0887b61da8c3aadacdcfb3f5",
+            ),
+            (
+                "F --n 3 --mu 1,2,0 --format json",
+                "78de366a4fbc4e6826c3fc2cf7526e5879175caab2db226ef014a0b56cc1f8d7",
+            ),
+            (
+                "P --n 4 --lam 3,2,1,0 --method symmetrize --format json",
+                "83678c01e9c2f79ae0737ba94f9ab163c6214f4091ba34745c31e9659e88fd39",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        rc, out, _ = run(capsys, *argv.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestExitCodes:
     def test_malformed_length(self, capsys):
         rc, _, err = run(capsys, "E", "--n", "3", "--mu", "2,1")
@@ -137,10 +164,16 @@ class TestExitCodes:
         assert "FAIL made-up" in err
         assert "0/1" in out
 
-    def test_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MACLAB_THREADS", "banana")
-        rc, _, err = run(capsys, "count", "--n", "2", "--mu", "1,0", "--what", "naf")
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_verify_rejects_nonpositive_n(self, capsys, n):
+        rc, out, err = run(capsys, "verify", "--suite", "eigen", "--n", n)
         assert rc == 2
-        monkeypatch.setenv("MACLAB_THREADS", "2")
-        rc, out, _ = run(capsys, "count", "--n", "2", "--mu", "1,0", "--what", "naf")
-        assert rc == 0 and out.strip() == "1"
+        assert out == ""
+        assert "--n" in err
+
+    def test_verify_empty_suite_fails(self, capsys):
+        # haction has no index i with 1 <= i <= n - 1 at n = 1
+        rc, out, err = run(capsys, "verify", "--suite", "haction", "--n", "1")
+        assert rc == 1
+        assert "passed" not in out
+        assert "no checks" in err

@@ -120,10 +120,11 @@ class TestCherednik:
 
     def test_Y_inverse_law(self):
         rng = random.Random(53)
-        for _ in range(6):
-            f = random_laurent(rng, 3)
-            i = rng.choice((1, 2, 3))
-            assert apply_Y_inv(i, apply_Y(i, f)) == f
+        for n in (2, 3, 4):
+            f = random_laurent(rng, n, deg=3, terms=3)
+            for i in range(1, n + 1):
+                assert apply_Y_inv(i, apply_Y(i, f)) == f
+                assert apply_Y(i, apply_Y_inv(i, f)) == f
 
     def test_Y_commute_all_monomials(self):
         # the stated invariant: all monomials of degree <= 4, n <= 4

@@ -302,7 +302,13 @@ class TestEigen:
 
 class TestHAction:
     def test_distinct_parts(self):
-        for mu, i in [((2, 1, 0), 1), ((2, 1, 0), 2), ((0, 2, 1), 1)]:
+        # (1, 2, 1, 0) at i = 3 checks Y_3^-1 Y_4, the first Y_i^-1 with i >= 3
+        for mu, i in [
+            ((2, 1, 0), 1),
+            ((2, 1, 0), 2),
+            ((0, 2, 1), 1),
+            ((1, 2, 1, 0), 3),
+        ]:
             assert all(line.ok for line in verify_haction(mu, i))
 
     def test_equal_parts(self):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import frac, random_ratfunc
 from maclab.errors import (
@@ -173,3 +175,108 @@ class TestPresentation:
     def test_t_string_rejects_odd_v(self):
         with pytest.raises(ValueError):
             RatFunc.v_power(1).to_t_string()
+
+
+# ---------------------------------------------------------------------------
+# properties on random integer polynomials in q, v
+
+_FACTORS = [
+    one,
+    q,
+    v,
+    RING.ground_new(2),
+    -one,
+    1 - v**2,
+    1 + v**2,
+    1 - q,
+    1 - q * v**2,
+    1 - q**2 * v**4,
+]
+
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=4
+).map(poly_from_terms)
+
+
+def _product(fs):
+    out = one
+    for f in fs:
+        out = out * f
+    return out
+
+
+_factor_products = st.lists(st.sampled_from(_FACTORS), max_size=3).map(_product)
+# (num, den) pairs sharing factors often, so the reductions really cancel
+_fractions = st.builds(
+    lambda p, shared, den: (p * shared, den * shared),
+    _polys,
+    _factor_products,
+    _factor_products,
+)
+_ratfuncs = _fractions.map(lambda nd: RatFunc(*nd))
+_nonzero_ratfuncs = _ratfuncs.filter(lambda r: not r.is_zero())
+
+
+def _canonical(r):
+    return r.num.gcd(r.den) == one and r.den.LC > 0
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_fractions)
+    def test_constructor_canonical_and_equal(self, nd):
+        a, b = nd
+        r = RatFunc(a, b)
+        assert _canonical(r)
+        assert r.num * b == r.den * a
+
+    @settings(max_examples=150, deadline=None)
+    @given(_fractions, _fractions)
+    def test_add_sub_mul(self, x, y):
+        a, b = x
+        c, d = y
+        rx, ry = RatFunc(a, b), RatFunc(c, d)
+        s = rx + ry
+        assert _canonical(s)
+        assert s.num * (b * d) == s.den * (a * d + c * b)
+        s = rx - ry
+        assert _canonical(s)
+        assert s.num * (b * d) == s.den * (a * d - c * b)
+        p = rx * ry
+        assert _canonical(p)
+        assert p.num * (b * d) == p.den * (a * c)
+        # the sum's denominator shares factors with d, so this cancels
+        back = (rx + ry) - ry
+        assert _canonical(back)
+        assert back.num * b == back.den * a
+
+    @settings(max_examples=150, deadline=None)
+    @given(_fractions, _fractions.filter(lambda nd: bool(nd[0])))
+    def test_div(self, x, y):
+        a, b = x
+        c, d = y
+        r = RatFunc(a, b) / RatFunc(c, d)
+        assert _canonical(r)
+        assert r.num * (b * c) == r.den * (a * d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ratfuncs, _ratfuncs, _ratfuncs)
+    def test_ring_axioms(self, a, b, c):
+        zero = RatFunc.from_int(0)
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * RF_ONE == a
+        assert a + (-a) == zero
+        assert (a + b) - b == a
+        assert a - b == -(b - a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_nonzero_ratfuncs, _nonzero_ratfuncs)
+    def test_field_inverses(self, a, b):
+        assert a * a.inverse() == RF_ONE
+        assert _canonical(a.inverse())
+        assert (a / b) * b == a
+        assert (a * b).inverse() == a.inverse() * b.inverse()
