@@ -31,14 +31,19 @@ class EigenData:
     d_mu: RatFunc
 
 
+def _a_mu(mu, i: int) -> RatFunc:
+    """a_mu at i: q^(mu_i - mu_(i+1)) t^(v_mu(i) - v_mu(i+1)), which is
+    t^-1 when mu_i = mu_(i+1)."""
+    v = fperm.v_increasing(mu)
+    return RatFunc.qt_monomial(mu[i - 1] - mu[i], v[i - 1] - v[i])
+
+
 def eigen_data(mu, i: int) -> EigenData:
     mu = check_weight(mu)
-    v = fperm.v_increasing(mu)
-    if mu[i - 1] == mu[i]:
-        a = RatFunc.t_power(-1)
-        return EigenData(mu, i, a, a.inverse(), RF_ONE)
-    a = RatFunc.qt_monomial(mu[i - 1] - mu[i], v[i - 1] - v[i])
+    a = _a_mu(mu, i)
     ainv = a.inverse()
+    if mu[i - 1] == mu[i]:
+        return EigenData(mu, i, a, ainv, RF_ONE)
     d = (one_minus(RF_T * a) * one_minus(RF_T * ainv)) / (
         one_minus(a) * one_minus(ainv)
     )
@@ -87,7 +92,7 @@ def _compute_E_poly(mu) -> LaurentPoly:
                 raise InvariantViolation(
                     f"box-greedy word hit s_{i} at weight {nu}"
                 )
-            scalar = one_minus(RF_T) / one_minus(eigen_data(nu, i).a_mu)
+            scalar = one_minus(RF_T) / one_minus(_a_mu(nu, i))
             f = hecke.apply_tT(i, f) + f.scale(scalar)
             nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
     if nu != mu:

@@ -10,8 +10,19 @@ Canonical form of a fraction num/den:
   * the leading coefficient of den is positive, where leading term is
     taken in lex order with q > v.
 
-Polynomials are sympy sparse ring elements over ZZ; sympy supplies the
-bivariate gcd and its cofactors, everything else is done here.
+The denominator is kept factored, as a positive integer c times a
+product of irreducible primitive polynomials f^k with positive leading
+coefficient (q and v among them); `den` multiplies it out on demand.
+The Macdonald denominators are products of binomials 1 - q^a t^b, so
+their factors are few and come back again and again: sums and products
+cancel by trial division against the factors already known, never by a
+gcd.  Most factors are g(q^a v^b) for a univariate g, and dividing by
+one splits a polynomial into univariate lines over the monomial
+q^a v^b.  A new denominator (from `inverse`, `/` or the two-argument
+constructor) is factored once, by sympy's `factor_list` on whatever the
+known factors leave over, and the result is memoized.
+
+Polynomials are sympy sparse ring elements over ZZ.
 
 >>> t = RatFunc.t_power(2)
 >>> (t / RatFunc.t_power(1)) == RatFunc.t_power(1)
@@ -23,6 +34,8 @@ RatFunc('1')
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from sympy import ZZ
 from sympy.polys.rings import ring
@@ -68,48 +81,277 @@ def _eval_poly(p, q0: Fraction, v0: Fraction) -> Fraction:
     return total
 
 
+# ---------------------------------------------------------------------------
+# irreducible factors and trial division
+
+
+class _Factor:
+    """An irreducible primitive polynomial with positive leading coefficient.
+
+    There is one instance per polynomial (see `_intern`), so factors
+    compare and hash by identity.  When the polynomial is g(q^a v^b) for
+    a univariate g, `step` is (a, b) and `terms` lists g's nonzero terms
+    as (power, coefficient), highest power first; otherwise `step` is
+    None and division falls back on sympy.
+    """
+
+    __slots__ = ("poly", "step", "terms", "degs")
+
+    def __init__(self, poly):
+        self.poly = poly
+        self.degs = _degs(poly)
+        self.step, self.terms = _line_form(poly)
+
+    def fits(self, degs):
+        """False when the degrees alone rule out division of a polynomial
+        with degrees degs."""
+        return self.degs[0] <= degs[0] and self.degs[1] <= degs[1]
+
+    def exquo(self, p):
+        """p / self when self divides p, else None."""
+        if len(self.poly) == 1:  # q or v
+            dq, dv = self.degs
+            if any(i < dq or j < dv for i, j in p):
+                return None
+            return IntPoly2(RING, {(i - dq, j - dv): c for (i, j), c in p.items()})
+        if self.step is None:
+            quo, rem = p.div(self.poly)
+            return None if rem else IntPoly2(RING, quo)  # drops a stale hash
+        return _line_exquo(p, self.step, self.terms)
+
+
+def _degs(p):
+    """(degree in q, degree in v) of a nonzero IntPoly2."""
+    qs, vs = zip(*p)
+    return max(qs), max(vs)
+
+
+def _line_form(p):
+    """((a, b), terms of g) when p = g(q^a v^b), else (None, None)."""
+    exps = [m for m in p if m != (0, 0)]
+    a, b = exps[0]
+    d = gcd(a, b)
+    a, b = a // d, b // d
+    powers = {}
+    for m, c in p.items():
+        k = m[0] // a if a else m[1] // b
+        if m != (k * a, k * b):
+            return None, None
+        powers[k] = int(c)
+    step = 0
+    for k in powers:
+        step = gcd(step, k)
+    terms = sorted(((k // step, c) for k, c in powers.items()), reverse=True)
+    return (a * step, b * step), terms
+
+
+def _line_exquo(p, step, terms):
+    """p / g(m) with m = q^a v^b, or None when g(m) does not divide p.
+
+    Z[q, v] is free over Z[m] on the monomials that m does not divide,
+    so p splits into lines base * h(m) and g(m) divides p exactly when it
+    divides every h in Z[x].
+    """
+    a, b = step
+    lines = {}
+    for (i, j), c in p.items():
+        if not a:
+            k = j // b
+        elif not b:
+            k = i // a
+        else:
+            k = i // a
+            if j // b < k:
+                k = j // b
+        base = (i - k * a, j - k * b)
+        line = lines.get(base)
+        if line is None:
+            lines[base] = {k: c}
+        else:
+            line[k] = c
+    d, lc = terms[0]
+    rest = terms[1:]
+    out = {}
+    for (bi, bj), line in lines.items():
+        top = max(line)
+        low = min(line)
+        if top - low < d:
+            return None
+        while top >= low + d:
+            c = line.pop(top, 0)
+            if c:
+                quo, r = divmod(c, lc)
+                if r:
+                    return None
+                e = top - d
+                out[(bi + e * a, bj + e * b)] = quo
+                for k, gk in rest:
+                    line[e + k] = line.get(e + k, 0) - quo * gk
+            top -= 1
+        if any(line.values()):
+            return None
+    return IntPoly2(RING, out)
+
+
+# polynomial -> its _Factor; it keeps every factor met, a few dozen for the
+# Macdonald constructions
+_REGISTRY = {}
+_LINE_FACTORS = []  # the registered factors of the form g(q^a v^b)
+
+
+def _intern(poly):
+    f = _REGISTRY.get(poly)
+    if f is None:
+        f = _REGISTRY[poly] = _Factor(poly)
+        if f.step is not None:
+            _LINE_FACTORS.append(f)
+    return f
+
+
+_FQ = _intern(QGEN)
+_FV = _intern(VGEN)
+
+
+@lru_cache(maxsize=4096)
+def _factor(p):
+    """(u, fac) with p = u * prod(f.poly ** k for f, k in fac.items()).
+
+    u is a nonzero int and fac maps irreducible factors to their
+    multiplicity.  The result is shared: callers must not change fac.
+    """
+    if len(p) == 1:
+        ((i, j), c), = p.items()
+        fac = {}
+        if i:
+            fac[_FQ] = i
+        if j:
+            fac[_FV] = j
+        return int(c), fac
+    fac = {}
+    degs = _degs(p)
+    for f in _LINE_FACTORS:
+        while f.fits(degs):
+            quo = f.exquo(p)
+            if quo is None:
+                break
+            p = quo
+            degs = _degs(p)
+            fac[f] = fac.get(f, 0) + 1
+    if len(p) == 1 and (0, 0) in p:
+        return int(p[(0, 0)]), fac
+    u, parts = p.factor_list()
+    u = int(u)
+    for g, k in parts:
+        if g.LC < 0:
+            g = -g
+            u *= (-1) ** k
+        f = _intern(IntPoly2(RING, g))
+        fac[f] = fac.get(f, 0) + k
+    return u, fac
+
+
+def _cancel(p, fac):
+    """Divide p by each factor of fac as often as it divides, at most its
+    multiplicity; return the quotient and what is left of fac."""
+    if not fac:
+        return p, fac
+    left = None
+    degs = _degs(p)
+    for f, k in fac.items():
+        j = 0
+        while j < k and f.fits(degs):
+            quo = f.exquo(p)
+            if quo is None:
+                break
+            p = quo
+            degs = _degs(p)
+            j += 1
+        if j:
+            if left is None:
+                left = dict(fac)
+            if j == k:
+                del left[f]
+            else:
+                left[f] = k - j
+    return p, (fac if left is None else left)
+
+
+def _cancel_int(p, c):
+    """Divide p and the positive int c by the gcd of c and p's content."""
+    g = c
+    for x in p.values():
+        g = gcd(g, x)
+        if g == 1:
+            return p, c
+    return p.quo_ground(g), c // g
+
+
+def _make(num, c, fac, den=None):
+    r = object.__new__(RatFunc)
+    r.num = num
+    r._c = c
+    r._fac = fac
+    r._den = den
+    return r
+
+
 class RatFunc:
-    """An element of Q(q, v), kept in canonical reduced form."""
+    """An element of Q(q, v), kept in canonical reduced form.
 
-    __slots__ = ("num", "den")
+    `num` is the numerator; the denominator is a positive int times a
+    product of irreducible factors, and `den` is that product.
+    """
 
-    def __init__(self, num, den=None, _canonical=False):
+    __slots__ = ("num", "_c", "_fac", "_den")
+
+    def __init__(self, num, den=None):
         if den is None:
             den = _ONE
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
         if not den:
             raise ZeroDenominatorError("denominator is zero")
         if not num:
-            self.num = _ZERO
-            self.den = _ONE
-            return
-        _, num, den = num.cofactors(den)
-        if den.LC < 0:
-            num = -num
-            den = -den
+            num, u, fac = _ZERO, 1, {}
+        else:
+            u, fac = _factor(den)
+            # a fresh copy: a caller's polynomial may carry a stale cached
+            # hash (sympy's div leaves one on its quotient)
+            num, fac = _cancel(IntPoly2(RING, num), fac)
+            if u < 0:
+                num, u = -num, -u
+            num, u = _cancel_int(num, u)
         self.num = num
-        self.den = den
+        self._c = u
+        self._fac = fac
+        self._den = None
+
+    @property
+    def den(self):
+        """The denominator as an IntPoly2."""
+        d = self._den
+        if d is None:
+            d = RING.ground_new(self._c)
+            for f, k in self._fac.items():
+                d = d * f.poly**k
+            self._den = d
+        return d
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_int(k) -> "RatFunc":
-        return RatFunc(RING.ground_new(k), _ONE, _canonical=True)
+        return _make(RING.ground_new(k), 1, {}, _ONE)
 
     @staticmethod
     def q_power(k: int) -> "RatFunc":
         if k >= 0:
-            return RatFunc(QGEN**k, _ONE, _canonical=True)
-        return RatFunc(_ONE, QGEN ** (-k), _canonical=True)
+            return _make(QGEN**k, 1, {}, _ONE)
+        return _make(_ONE, 1, {_FQ: -k})
 
     @staticmethod
     def v_power(k: int) -> "RatFunc":
         if k >= 0:
-            return RatFunc(VGEN**k, _ONE, _canonical=True)
-        return RatFunc(_ONE, VGEN ** (-k), _canonical=True)
+            return _make(VGEN**k, 1, {}, _ONE)
+        return _make(_ONE, 1, {_FV: -k})
 
     @staticmethod
     def t_power(k: int) -> "RatFunc":
@@ -130,7 +372,7 @@ class RatFunc:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == _ONE and self.den == _ONE
+        return self.num == _ONE and not self._fac and self._c == 1
 
     def has_even_v(self) -> bool:
         """True when every v-exponent in num and den is even (so the
@@ -140,62 +382,102 @@ class RatFunc:
         )
 
     def is_v_monomial(self) -> bool:
-        return self.den == _ONE and len(self.num) == 1
+        return not self._fac and self._c == 1 and len(self.num) == 1
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.num, self.den
-        c, d = other.num, other.den
+        a, b = self.num, other.num
         if not a:
             return other
-        if not c:
+        if not b:
             return self
-        if b == d:
-            num = a + c
-            if not num:
+        fa, fb = self._fac, other._fac
+        ca, cb = self._c, other._c
+        if ca == cb and fa == fb:
+            s = a + b
+            if not s:
                 return _RF_ZERO
-            if b == _ONE:
-                return RatFunc(num, _ONE, _canonical=True)
-            _, num, b = num.cofactors(b)
-            return RatFunc(num, b, _canonical=True)
-        if b == _ONE:
-            return RatFunc(a * d + c, d, _canonical=True)
-        if d == _ONE:
-            return RatFunc(a + c * b, b, _canonical=True)
-        g, b1, d1 = b.cofactors(d)
-        if g == _ONE:
-            return RatFunc(a * d + c * b, b * d, _canonical=True)
-        num = a * d1 + c * b1
-        if not num:
+            s, fac = _cancel(s, fa)
+            c = ca
+            if c > 1:
+                s, c = _cancel_int(s, c)
+            return _make(s, c, fac)
+        # over the lcm of the denominators; a factor can divide the sum only
+        # when both sides carry it equally often
+        fac = dict(fa)
+        lift_a = lift_b = _ONE
+        shared = {}
+        for f, k in fb.items():
+            ka = fa.get(f, 0)
+            if ka < k:
+                lift_a = lift_a * f.poly ** (k - ka)
+                fac[f] = k
+            elif ka > k:
+                lift_b = lift_b * f.poly ** (ka - k)
+            else:
+                shared[f] = k
+        for f, k in fa.items():
+            if f not in fb:
+                lift_b = lift_b * f.poly**k
+        c = ca * cb // gcd(ca, cb)
+        if c != ca:
+            lift_a = lift_a * (c // ca)
+        if c != cb:
+            lift_b = lift_b * (c // cb)
+        s = a * lift_a + b * lift_b
+        if not s:
             return _RF_ZERO
-        _, num, g = num.cofactors(g)
-        return RatFunc(num, (b1 * d1) * g, _canonical=True)
+        if shared:
+            s, left = _cancel(s, shared)
+            if left is not shared:
+                for f in shared:
+                    k = left.get(f)
+                    if k is None:
+                        del fac[f]
+                    else:
+                        fac[f] = k
+        if c > 1:
+            s, c = _cancel_int(s, c)
+        return _make(s, c, fac)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _canonical=True)
+        return _make(-self.num, self._c, self._fac, self._den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        if not a or not c:
+        a, b = self.num, other.num
+        if not a or not b:
             return _RF_ZERO
-        if d != _ONE:
-            _, a, d = a.cofactors(d)
-        if b != _ONE:
-            _, c, b = c.cofactors(b)
-        return RatFunc(a * c, b * d, _canonical=True)
+        fa, fb = self._fac, other._fac
+        ca, cb = self._c, other._c
+        if fb:
+            a, fb = _cancel(a, fb)
+        if fa:
+            b, fa = _cancel(b, fa)
+        if cb > 1:
+            a, cb = _cancel_int(a, cb)
+        if ca > 1:
+            b, ca = _cancel_int(b, ca)
+        if not fa:
+            fac = fb
+        elif not fb:
+            fac = fa
+        else:
+            fac = dict(fa)
+            for f, k in fb.items():
+                fac[f] = fac.get(f, 0) + k
+        return _make(a * b, ca * cb, fac)
 
     def inverse(self) -> "RatFunc":
         if not self.num:
             raise DivisionByZeroError("inverse of zero")
-        num, den = self.den, self.num
-        if den.LC < 0:
-            num, den = -num, -den
-        return RatFunc(num, den, _canonical=True)
+        u, fac = _factor(self.num)
+        if u < 0:
+            return _make(-self.den, -u, fac, -self.num)
+        return _make(self.den, u, fac, self.num)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -204,20 +486,23 @@ class RatFunc:
         if k == 0:
             return _RF_ONE
         base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        k = abs(k)
+        fac = {f: m * k for f, m in base._fac.items()}
+        return _make(base.num**k, base._c**k, fac)
 
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (
+            self.num == other.num
+            and self._c == other._c
+            and self._fac == other._fac
+        )
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self._c, frozenset(self._fac.items())))
 
     # -- evaluation -----------------------------------------------------
 
@@ -282,8 +567,8 @@ class RatFunc:
         return f"RatFunc('({self.num})/({self.den})')"
 
 
-_RF_ZERO = RatFunc(_ZERO, _ONE, _canonical=True)
-_RF_ONE = RatFunc(_ONE, _ONE, _canonical=True)
+_RF_ZERO = _make(_ZERO, 1, {}, _ONE)
+_RF_ONE = _make(_ONE, 1, {}, _ONE)
 
 RF_ZERO = _RF_ZERO
 RF_ONE = _RF_ONE

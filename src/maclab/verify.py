@@ -73,7 +73,9 @@ def suite_counts(n: int, max_part: int = 2):
 
 
 def suite_golden(n: int = 3):
-    """Fixed golden expansions from the worked examples (n = 2, 3)."""
+    """Fixed golden expansions from the worked examples: those of size
+    n = 2 from n = 2 and those of size n = 3 from n = 3; the closed-form
+    NAF count runs at every n."""
     out = []
     q = RatFunc.q_power(1)
     t = RF_T
@@ -81,24 +83,26 @@ def suite_golden(n: int = 3):
     def frac(a, b):
         return one_minus(t) / one_minus(RatFunc.qt_monomial(a, b))
 
-    E210 = LaurentPoly(3, {(2, 1, 0): RF_ONE, (1, 1, 1): frac(1, 2) * q})
-    got = macdonald.compute_E((2, 1, 0)).poly
-    out.append(("E_(2,1,0)", got == E210, ""))
-    E30 = LaurentPoly(
-        2,
-        {
-            (3, 0): RF_ONE,
-            (1, 2): frac(2, 1) * q * q,
-            (2, 1): frac(1, 1) * q + frac(2, 1) * frac(1, 1) * q * q,
-        },
-    )
-    got = macdonald.compute_E((3, 0)).poly
-    out.append(("E_(3,0)", got == E30, ""))
-    got = macdonald.compute_P((2, 1, 0)).poly
-    want = macdonald.compute_P((2, 1, 0), "symmetrize").poly
-    out.append(("P_(2,1,0) routes", got == want, ""))
-    got = diagrams.cst_expand((2, 1), 3).poly
-    out.append(("P_(2,1,0) cst route", got == want, ""))
+    if n >= 2:
+        E30 = LaurentPoly(
+            2,
+            {
+                (3, 0): RF_ONE,
+                (1, 2): frac(2, 1) * q * q,
+                (2, 1): frac(1, 1) * q + frac(2, 1) * frac(1, 1) * q * q,
+            },
+        )
+        got = macdonald.compute_E((3, 0)).poly
+        out.append(("E_(3,0)", got == E30, ""))
+    if n >= 3:
+        E210 = LaurentPoly(3, {(2, 1, 0): RF_ONE, (1, 1, 1): frac(1, 2) * q})
+        got = macdonald.compute_E((2, 1, 0)).poly
+        out.append(("E_(2,1,0)", got == E210, ""))
+        got = macdonald.compute_P((2, 1, 0)).poly
+        want = macdonald.compute_P((2, 1, 0), "symmetrize").poly
+        out.append(("P_(2,1,0) routes", got == want, ""))
+        got = diagrams.cst_expand((2, 1), 3).poly
+        out.append(("P_(2,1,0) cst route", got == want, ""))
     out.append(
         ("#NAF_(4,3,3,3,2,2,1,1,0,0)", diagrams.count((4, 3, 3, 3, 2, 2, 1, 1, 0, 0), "naf") == 3189375, "")
     )

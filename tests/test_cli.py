@@ -116,6 +116,30 @@ class TestGoldenDigests:
                 "P --n 4 --lam 3,2,1,0 --method symmetrize --format json",
                 "83678c01e9c2f79ae0737ba94f9ab163c6214f4091ba34745c31e9659e88fd39",
             ),
+            (
+                "E --n 4 --mu 2,0,0,3 --z 4,1,2,3 --format json",
+                "a2984ab05df2dd568120a1e869b31bc93212f22ff07089ae75cc0dd1d72ae742",
+            ),
+            (
+                "f --n 4 --mu 3,0,2,0 --format json",
+                "03af9426148644ebf3522ddfd8387424a07a2df1053df99b78d06233283fdc48",
+            ),
+            (
+                "P --n 3 --lam 5,1,0 --method cst --format json",
+                "2e843bfd2219002a9c38e05906511f86a4cfa5b79a1bb19efe91ecd1c7db261d",
+            ),
+            (
+                "P --n 3 --lam 5,1,0 --method sum-rel --format json",
+                "ca90edead52e3ed050854596fd8c1963a9c34de1641e168fb8ac9858a6da1076",
+            ),
+            (
+                "E --n 3 --mu 0,3,4 --format latex",
+                "9a0244a96ccc5e2a25cca0538e3b5b3a069ebe41098adf4aa60b8588fa8adfd5",
+            ),
+            (
+                "E --n 3 --mu 0,3,4",
+                "c43d858f98c6ecac604cd8f490640b810bb34e3e92efb956d526d6142e1b7ca8",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -138,6 +162,14 @@ class TestExitCodes:
         rc, out, _ = run(capsys, "verify", "--suite", "golden", "--n", "3")
         assert rc == 0
         assert "checks passed" in out
+
+    @pytest.mark.parametrize("n, want", [("1", "1/1"), ("2", "2/2"), ("3", "5/5")])
+    def test_verify_golden_scales_with_n(self, capsys, n, want):
+        # goldens of size 2 run from n = 2, of size 3 from n = 3; the NAF
+        # count runs at every n
+        rc, out, _ = run(capsys, "verify", "--suite", "golden", "--n", n)
+        assert rc == 0
+        assert out.strip() == f"{want} checks passed"
 
     def test_verify_all_small(self, capsys):
         rc, out, _ = run(capsys, "verify", "--suite", "all", "--n", "2")

@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frac, random_ratfunc
+from maclab import ratfunc
+from maclab.diagrams import cst_expand
 from maclab.errors import (
     DivisionByZeroError,
     EvaluationError,
     ZeroDenominatorError,
 )
+from maclab.macdonald import _compute_E_poly, compute_E, compute_E_rel, compute_P
 from maclab.ratfunc import (
     QGEN,
+    IntPoly2,
     RF_ONE,
     RF_T,
     RING,
@@ -64,6 +68,15 @@ class TestNormalize:
             while not m:
                 m = random_ratfunc(rng).num
             assert rf_normalize(a.num * m, a.den * m) == a
+
+    def test_hash_of_a_divided_input(self):
+        # sympy's div returns a quotient whose cached hash is stale
+        p, f = q + 2 * v, 1 + q + v
+        quo, rem = (p * f).div(f)
+        assert quo == p and not rem
+        for den in (one, 1 - q * v**2):
+            a, b = rf_normalize(quo, den), rf_normalize(p, den)
+            assert a == b and hash(a) == hash(b)
 
     def test_canonical_sign(self):
         r = rf_normalize(one, -(1 - q * v**2))
@@ -191,6 +204,12 @@ _FACTORS = [
     1 - q,
     1 - q * v**2,
     1 - q**2 * v**4,
+    1 + q * v**2 + q**2 * v**4,  # Phi_3(q v^2)
+    (1 - q * v**2) ** 2,
+    RING.ground_new(3),
+    # not a polynomial in one monomial: division falls back on sympy
+    1 + q + v,
+    q - v**2,
 ]
 
 _polys = st.dictionaries(
@@ -280,3 +299,33 @@ class TestProperties:
         assert _canonical(a.inverse())
         assert (a / b) * b == a
         assert (a * b).inverse() == a.inverse() * b.inverse()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ratfuncs, _nonzero_ratfuncs)
+    def test_equal_values_hash_equal(self, x, y):
+        # the same value reached by different routes
+        for a, b in (((x * y) / y, x), (x + y - y, x)):
+            assert a == b
+            assert hash(a) == hash(b)
+
+
+class TestNoGcd:
+    """The field cancels by trial division against known factors; no
+    sympy gcd runs on the way to a Macdonald polynomial."""
+
+    def test_constructions_without_gcd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bivariate gcd called")
+
+        monkeypatch.setattr(IntPoly2, "gcd", refuse)
+        monkeypatch.setattr(IntPoly2, "cofactors", refuse)
+        # start cold, so nothing comes from results memoized earlier
+        _compute_E_poly.cache_clear()
+        ratfunc._factor.cache_clear()
+        try:
+            assert len(compute_E((1, 0, 3, 4)).poly.terms) > 0
+            assert len(compute_P((3, 2, 1, 0)).poly.terms) > 0
+            assert len(compute_E_rel((2, 0, 0, 3), (4, 1, 2, 3)).poly.terms) > 0
+            assert len(cst_expand((3, 1), 3).poly.terms) > 0
+        finally:
+            _compute_E_poly.cache_clear()
