@@ -3,7 +3,8 @@
 Verbs: E, P, f, F, count, word, inv, fillings, walks, verify.
 Output is byte-deterministic for a fixed command; JSON documents carry
 the schema tag "macdonald-lab/1".  Exit codes: 0 success, 1 verification
-failure, 2 malformed input.
+failure, 2 malformed input, 3 internal error (a failed invariant or a
+stray ValueError, i.e. a bug rather than bad input).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from . import affine, diagrams, macdonald, verify
 from . import permutations as fperm
-from .errors import MacLabError
+from .errors import InvariantViolation, MacLabError
 
 SCHEMA = "macdonald-lab/1"
 
@@ -294,10 +295,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (InvariantViolation, ValueError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except MacLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from . import permutations as fperm
 from .affine import AffineRoot, PeriodicPerm, box_greedy_word, boxes_of, u_stat
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, check_weight
-from .macdonald import MacdonaldResult, _poch, _single_box_coeff
+from .macdonald import MacdonaldResult, _poch
 from .ratfunc import RF_ONE, RF_T, RatFunc, one_minus
 
 # ---------------------------------------------------------------------------
@@ -563,50 +563,39 @@ def cst_expand(lam, n) -> MacdonaldResult:
 
 
 # ---------------------------------------------------------------------------
-# filling weights on the two tabulated one- and two-box families
+# the nonattacking-filling weight (Haglund-Haiman-Loehr, permuted basements)
+
+
+def _cyclic(a, b, c):
+    """(a, b, c) is in cyclically increasing order."""
+    return a < b < c or b < c < a or c < a < b
 
 
 def filling_weight(T: Filling) -> RatFunc:
-    """wt(T) for mu = eps_j (any basement) or mu = eps_j1 + eps_j2 with
-    the identity basement, per the tabulated single- and two-box weights.
+    """wt(T), so that E_mu^z = sum over nonattacking fillings T of
+    wt(T) x^T with x^T = prod of x_T(u) over the boxes u of dg(mu).
+
+    Haglund-Haiman-Loehr's weight with the permuted basement z
+    (Alexandersson): wt(T) is a product over the boxes u = (i, j).  With
+    L = T(i, j-1), the basement z(i) when j = 1, a box with T(u) = L
+    contributes 1; any other box contributes
+
+      (1-t) / (1 - q^(nleg+1) t^(narm+1)) * q^(nleg+1 if T(u) > L) * t^k
+
+    where nleg = mu_i - j, narm = #narm_set(mu, i, j) and k counts the
+    boxes w of narm_set(mu, i, j) with (L, T(u), T(w)) cyclically
+    increasing.
     """
     mu = T.mu
-    n = len(mu)
-    boxes = boxes_of(mu)
-    if len(boxes) == 1 and max(mu) == 1:
-        (j, _), = boxes
-        return _single_box_coeff(T.z, j, T.z.index(T.values[0]) + 1)
-    if len(boxes) == 2 and max(mu) == 1:
-        if T.z != fperm.identity(n):
-            raise InvalidInputError(
-                "two-box column weights are tabulated for the identity basement"
-            )
-        j1, j2 = (b[0] for b in boxes)
-        return _two_box_column_weight(n, j1, j2, T.values[0], T.values[1])
-    raise InvalidInputError("weights are tabulated only for <= 2 box columns")
-
-
-def _two_box_column_weight(n, j1, j2, a, b) -> RatFunc:
-    """Weight of the (eps_j1 + eps_j2) filling with T(j1,1) = a, T(j2,1) = b.
-
-    w1 = (1-t)/(1 - q t^(n-j1)), w2 = (1-t)/(1 - q t^(n-j2+2)); the
-    descending pair below j1 carries an extra factor t, pinned by
-    matching the operator route on the full two-box family.
-    """
-    w1 = one_minus(RF_T) / one_minus(RatFunc.qt_monomial(1, n - j1))
-    w2 = one_minus(RF_T) / one_minus(RatFunc.qt_monomial(1, n - j2 + 2))
-    if (a, b) == (j1, j2):
-        return RF_ONE
-    if b == j2:
-        return w1
-    if a == j1 and j1 < b < j2:
-        return w2
-    if b == j1:
-        return w1 * w2
-    if a == j1 and b < j1:
-        return w2 * RF_T
-    if a < j1 and j1 < b < j2:
-        return w1 * w2
-    if a < j1 and b < j1:
-        return w1 * w2 if a < b else w1 * w2 * RF_T
-    raise InvalidInputError(f"values ({a}, {b}) are not a valid filling")
+    out = RF_ONE
+    for (i, j), a in zip(boxes_of(mu), T.values):
+        left = T.value(i, j - 1)
+        if a == left:
+            continue
+        arm = narm_set(mu, i, j)
+        leg = mu[i - 1] - j + 1
+        k = sum(1 for w in arm if _cyclic(left, a, T.value(*w)))
+        den = one_minus(RatFunc.qt_monomial(leg, len(arm) + 1))
+        out = out * one_minus(RF_T) / den
+        out = out * RatFunc.qt_monomial(leg if a > left else 0, k)
+    return out

@@ -246,13 +246,6 @@ def closed_column(r: int, z) -> MacdonaldResult:
     )
 
 
-def _sum_x(n, ks):
-    out = LaurentPoly.zero(n)
-    for k in ks:
-        out = out + LaurentPoly.x(k, n)
-    return out
-
-
 def closed_three_box(shape: str, n: int, symmetric: bool = False) -> MacdonaldResult:
     """The displayed three-box formulas: shapes '3e1', '2e1+e2', 'e1+e2+e3'.
 

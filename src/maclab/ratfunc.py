@@ -43,6 +43,7 @@ from sympy.polys.rings import ring
 from .errors import (
     DivisionByZeroError,
     EvaluationError,
+    InvalidInputError,
     ZeroDenominatorError,
 )
 
@@ -552,7 +553,9 @@ class RatFunc:
     def to_t_string(self, latex: bool = False) -> str:
         """Render in the variables q, t.  Requires even v-exponents."""
         if not self.has_even_v():
-            raise ValueError("odd power of t^(1/2); cannot render in q, t")
+            raise InvalidInputError(
+                "odd power of t^(1/2); cannot render in q, t"
+            )
         ns = self._poly_t_str(self.num, latex)
         if self.den == _ONE:
             return ns
@@ -600,10 +603,3 @@ def rf_eval(a: RatFunc, q0, v0) -> Fraction:
 def one_minus(x: RatFunc) -> RatFunc:
     """1 - x, a convenience for the ubiquitous (1 - q^a t^b) factors."""
     return _RF_ONE - x
-
-
-def qt_fraction(qnum: int, tnum: int, qden: int, tden: int) -> RatFunc:
-    """(1 - q^qnum t^tnum) / (1 - q^qden t^tden)."""
-    return one_minus(RatFunc.qt_monomial(qnum, tnum)) / one_minus(
-        RatFunc.qt_monomial(qden, tden)
-    )

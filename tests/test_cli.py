@@ -6,6 +6,7 @@ import json
 import pytest
 
 from maclab.cli import main
+from maclab.errors import InvariantViolation
 
 
 def run(capsys, *argv):
@@ -195,6 +196,22 @@ class TestExitCodes:
         assert rc == 1
         assert "FAIL made-up" in err
         assert "0/1" in out
+
+    @pytest.mark.parametrize(
+        "error", [InvariantViolation("broken"), ValueError("stray")]
+    )
+    def test_bug_exits_three(self, capsys, monkeypatch, error):
+        # a failed invariant or a stray ValueError is a bug, not bad input
+        from maclab import cli
+
+        def fail(mu):
+            raise error
+
+        monkeypatch.setattr(cli.macdonald, "compute_E", fail)
+        rc, out, err = run(capsys, "E", "--n", "3", "--mu", "2,1,0")
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("internal error:")
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_verify_rejects_nonpositive_n(self, capsys, n):

@@ -13,6 +13,7 @@ from maclab.diagrams import cst_expand
 from maclab.errors import (
     DivisionByZeroError,
     EvaluationError,
+    InvalidInputError,
     ZeroDenominatorError,
 )
 from maclab.macdonald import _compute_E_poly, compute_E, compute_E_rel, compute_P
@@ -186,7 +187,7 @@ class TestPresentation:
         assert rebuilt == r
 
     def test_t_string_rejects_odd_v(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             RatFunc.v_power(1).to_t_string()
 
 
