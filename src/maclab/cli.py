@@ -27,13 +27,15 @@ def _parse_ints(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _emit_poly(args, verb, mu, poly, extra=None):
+def _print_doc(args, verb, mu, **fields):
+    """Print one JSON document: the common header, then fields in order."""
+    doc = {"schema": SCHEMA, "command": verb, "n": args.n, "mu": list(mu), **fields}
+    print(json.dumps(doc, separators=(",", ":")))
+
+
+def _emit_poly(args, verb, mu, poly, **extra):
     if args.format == "json":
-        doc = {"schema": SCHEMA, "command": verb, "n": len(mu), "mu": list(mu)}
-        if extra:
-            doc.update(extra)
-        doc["terms"] = poly.to_json_obj()
-        print(json.dumps(doc, separators=(",", ":")))
+        _print_doc(args, verb, mu, **extra, terms=poly.to_json_obj())
     elif args.format == "latex":
         print(poly.to_string(latex=True))
     else:
@@ -52,7 +54,7 @@ def cmd_E(args):
     if args.z is not None:
         z = _check_n(args, args.z, "--z")
         res = macdonald.compute_E_rel(mu, z)
-        return _emit_poly(args, "E", mu, res.poly, {"z": list(z)})
+        return _emit_poly(args, "E", mu, res.poly, z=list(z))
     return _emit_poly(args, "E", mu, macdonald.compute_E(mu).poly)
 
 
@@ -60,10 +62,10 @@ def cmd_P(args):
     lam = _check_n(args, args.mu, "--lam")
     method = args.method or "sum-rel"
     if method == "cst":
-        res = diagrams.cst_expand(tuple(x for x in lam if x), args.n)
-        return _emit_poly(args, "P", lam, res.poly, {"method": "cst"})
-    res = macdonald.compute_P(lam, method)
-    return _emit_poly(args, "P", lam, res.poly, {"method": method})
+        res = diagrams.cst_expand(lam, args.n)
+    else:
+        res = macdonald.compute_P(lam, method)
+    return _emit_poly(args, "P", lam, res.poly, method=method)
 
 
 def cmd_f(args):
@@ -75,26 +77,14 @@ def cmd_F(args):
     mu = _check_n(args, args.mu, "--mu")
     res = macdonald.compute_F(mu)
     c = macdonald.symmetrization_constant(mu)
-    return _emit_poly(args, "F", mu, res.poly, {"symmetrization_constant": c.to_json_obj()})
+    return _emit_poly(args, "F", mu, res.poly, symmetrization_constant=c.to_json_obj())
 
 
 def cmd_count(args):
     mu = _check_n(args, args.mu, "--mu")
     val = diagrams.count(mu, args.what)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "command": "count",
-                    "n": args.n,
-                    "mu": list(mu),
-                    "what": args.what,
-                    "value": str(val),
-                },
-                separators=(",", ":"),
-            )
-        )
+        _print_doc(args, "count", mu, what=args.what, value=str(val))
     else:
         print(val)
     return 0
@@ -109,17 +99,10 @@ def cmd_word(args):
     )
     el, reduced = affine.word_eval(word, args.n)
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": "word",
-            "n": args.n,
-            "mu": list(mu),
-            "kind": args.kind,
-            "word": list(word),
-            "window": list(el.window),
-            "reduced": reduced,
-        }
-        print(json.dumps(doc, separators=(",", ":")))
+        _print_doc(
+            args, "word", mu, kind=args.kind, word=list(word),
+            window=list(el.window), reduced=reduced,
+        )
     else:
         print(" ".join(word))
     return 0
@@ -128,23 +111,14 @@ def cmd_word(args):
 def cmd_inv(args):
     mu = _check_n(args, args.mu, "--mu")
     u = affine.u_element(mu)
-    roots = u.inversions()
+    roots = sorted(u.inversions(), key=lambda r: (r.i, r.j, r.level))
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": "inv",
-            "n": args.n,
-            "mu": list(mu),
-            "window": list(u.window),
-            "length": u.length(),
-            "inversions": [
-                {"i": r.i, "j": r.j, "level": r.level}
-                for r in sorted(roots, key=lambda r: (r.i, r.j, r.level))
-            ],
-        }
-        print(json.dumps(doc, separators=(",", ":")))
+        _print_doc(
+            args, "inv", mu, window=list(u.window), length=u.length(),
+            inversions=[{"i": r.i, "j": r.j, "level": r.level} for r in roots],
+        )
     else:
-        for r in sorted(roots, key=lambda r: (r.i, r.j, r.level)):
+        for r in roots:
             print(r)
     return 0
 
@@ -154,17 +128,10 @@ def cmd_fillings(args):
     z = _check_n(args, args.z, "--z") if args.z else fperm.identity(args.n)
     fills = diagrams.enumerate_fillings(mu, z, args.kind)
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": "fillings",
-            "n": args.n,
-            "mu": list(mu),
-            "z": list(z),
-            "kind": args.kind,
-            "count": len(fills),
-            "fillings": [T.to_json_obj() for T in fills],
-        }
-        print(json.dumps(doc, separators=(",", ":")))
+        _print_doc(
+            args, "fillings", mu, z=list(z), kind=args.kind, count=len(fills),
+            fillings=[T.to_json_obj() for T in fills],
+        )
     else:
         for T in fills:
             print(" ".join(str(v) for v in T.values))
@@ -176,26 +143,15 @@ def cmd_walks(args):
     z = _check_n(args, args.z, "--z") if args.z else fperm.identity(args.n)
     walks = diagrams.enumerate_walks(mu, z)
     if args.format == "json":
-        body = []
-        for w in walks:
-            geo = diagrams.walk_geometry(w)
-            body.append(
-                {
-                    "shorthand": w.shorthand(),
-                    "folds": [bool(b) for b in w.folds],
-                    "path": geo.to_json_obj(),
-                }
-            )
-        doc = {
-            "schema": SCHEMA,
-            "command": "walks",
-            "n": args.n,
-            "mu": list(mu),
-            "z": list(z),
-            "count": len(walks),
-            "walks": body,
-        }
-        print(json.dumps(doc, separators=(",", ":")))
+        body = [
+            {
+                "shorthand": w.shorthand(),
+                "folds": [bool(b) for b in w.folds],
+                "path": diagrams.walk_geometry(w).to_json_obj(),
+            }
+            for w in walks
+        ]
+        _print_doc(args, "walks", mu, z=list(z), count=len(walks), walks=body)
     else:
         for w in walks:
             print(w.shorthand())
@@ -210,10 +166,10 @@ def cmd_verify(args):
         print(f"suite {args.suite!r} has no checks at n = {args.n}", file=sys.stderr)
         return 1
     failed = 0
-    for name, ok, detail in results:
-        if not ok:
+    for line in results:
+        if not line.ok:
             failed += 1
-            msg = f"FAIL {name}" + (f": {detail}" if detail else "")
+            msg = f"FAIL {line.name}" + (f": {line.detail}" if line.detail else "")
             print(msg, file=sys.stderr)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 1 if failed else 0

@@ -546,7 +546,7 @@ def column_strict_tableaux(lam, n):
 
 def cst_expand(lam, n) -> MacdonaldResult:
     """P_lambda = sum over column strict tableaux of psi_T x^T."""
-    lam = tuple(int(x) for x in lam)
+    lam = check_weight(lam, nonneg=True)
     if len([x for x in lam if x > 0]) > n:
         raise InvalidInputError("shape has more rows than variables")
     out = LaurentPoly.zero(n)

@@ -7,33 +7,21 @@ A B C applies C first.  T_i is the Demazure-Lusztig operator
 
 g = s_1 ... s_{n-1} followed by x_n -> q^(-1) x_n, and g_vee multiplies
 by x_1 after T_1 ... T_{n-1}.  Most internal work uses t^(1/2) T_i,
-which keeps coefficients free of odd powers of v.
+which keeps coefficients free of odd powers of v: a word T_z goes
+through t^(l(z)/2) T_z and one scale by t^(-l(z)/2) at the end.
 """
 
 from __future__ import annotations
 
 from . import permutations as fperm
 from .errors import InvalidInputError, InvariantViolation
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _acc
 from .ratfunc import RF_ONE, RF_T, RatFunc
 
 _V = RatFunc.v_power(1)
 _VINV = RatFunc.v_power(-1)
 _T_MINUS_1 = RF_T - RF_ONE
 _ONE_MINUS_T = RF_ONE - RF_T
-
-
-def _acc(out, e, c):
-    prev = out.get(e)
-    if prev is None:
-        if not c.is_zero():
-            out[e] = c
-    else:
-        s = prev + c
-        if s.is_zero():
-            del out[e]
-        else:
-            out[e] = s
 
 
 def apply_tT(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -55,27 +43,23 @@ def apply_tT(i: int, f: LaurentPoly) -> LaurentPoly:
         if a == b:
             _acc(out, e, c * RF_T)
             continue
-        swapped = list(e)
-        swapped[ia], swapped[ib] = b, a
-        swapped = tuple(swapped)
+        mono = list(e)
+        mono[ia], mono[ib] = b, a
         if a > b:
-            _acc(out, swapped, c)
-            if a - b > 1:
-                cm = c * _ONE_MINUS_T
-                mid = list(e)
-                for k in range(1, a - b):
-                    mid[ia] = a - k
-                    mid[ib] = b + k
-                    _acc(out, tuple(mid), cm)
+            _acc(out, tuple(mono), c)
+            if a - b == 1:
+                continue
+            cm = c * _ONE_MINUS_T
         else:
-            _acc(out, swapped, c * RF_T)
+            _acc(out, tuple(mono), c * RF_T)
             cm = c * _T_MINUS_1
             _acc(out, e, cm)
-            mid = list(e)
-            for k in range(1, b - a):
-                mid[ia] = b - k
-                mid[ib] = a + k
-                _acc(out, tuple(mid), cm)
+        # strictly between, x_i-exponent from max(a, b) - 1 down
+        hi, lo = max(a, b), min(a, b)
+        for k in range(1, hi - lo):
+            mono[ia] = hi - k
+            mono[ib] = lo + k
+            _acc(out, tuple(mono), cm)
     return LaurentPoly(n, out, _clean=True)
 
 
@@ -231,13 +215,6 @@ def _op_index(text, n, top):
     return i
 
 
-def apply_T_word(word, f: LaurentPoly) -> LaurentPoly:
-    """T_z f for z = s_{word[0]} s_{word[1]} ... (rightmost letter first)."""
-    for i in reversed(word):
-        f = apply_T(i, f)
-    return f
-
-
 def apply_tT_word(word, f: LaurentPoly) -> LaurentPoly:
     """t^(l(z)/2) T_z f along a reduced word."""
     for i in reversed(word):
@@ -245,9 +222,10 @@ def apply_tT_word(word, f: LaurentPoly) -> LaurentPoly:
     return f
 
 
-def apply_T_perm(z, f: LaurentPoly) -> LaurentPoly:
-    """T_z along the lex-smallest reduced word of z."""
-    return apply_T_word(fperm.reduced_word(z), f)
+def apply_T_word(word, f: LaurentPoly) -> LaurentPoly:
+    """T_z f for z = s_{word[0]} s_{word[1]} ... (rightmost letter first),
+    as t^(-len(word)/2) times the t^(1/2) T_i word."""
+    return apply_tT_word(word, f).scale(RatFunc.v_power(-len(word)))
 
 
 def hecke_symmetrize_sum(f: LaurentPoly) -> LaurentPoly:

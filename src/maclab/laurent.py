@@ -27,6 +27,20 @@ def check_weight(mu, n=None, nonneg=False):
     return mu
 
 
+def _acc(out, e, c):
+    """Add c into the term dict out at exponent e; no zero is kept."""
+    prev = out.get(e)
+    if prev is None:
+        if not c.is_zero():
+            out[e] = c
+    else:
+        s = prev + c
+        if s.is_zero():
+            del out[e]
+        else:
+            out[e] = s
+
+
 class LaurentPoly:
     """Finite sum of RatFunc-weighted monomials x^e, e in Z^n."""
 
@@ -80,15 +94,7 @@ class LaurentPoly:
         self._check_same(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            prev = out.get(e)
-            if prev is None:
-                out[e] = c
-            else:
-                s = prev + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
+            _acc(out, e, c)
         return LaurentPoly(self.n, out, _clean=True)
 
     def __neg__(self):
@@ -97,37 +103,14 @@ class LaurentPoly:
         )
 
     def __sub__(self, other):
-        self._check_same(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            if prev is None:
-                out[e] = -c
-            else:
-                s = prev - c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-        return LaurentPoly(self.n, out, _clean=True)
+        return self + (-other)
 
     def __mul__(self, other):
         self._check_same(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = out.get(e)
-                if prev is None:
-                    if not c.is_zero():
-                        out[e] = c
-                else:
-                    s = prev + c
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
+                _acc(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return LaurentPoly(self.n, out, _clean=True)
 
     def scale(self, c: RatFunc) -> "LaurentPoly":

@@ -111,8 +111,10 @@ def compute_E_rel(mu, z) -> MacdonaldResult:
     mu = check_weight(mu, nonneg=True)
     z = fperm.check_perm(z, len(mu))
     vinv = fperm.inverse(fperm.v_increasing(mu))
-    shift = fperm.length(fperm.compose(z, vinv)) - fperm.length(vinv)
-    f = hecke.apply_T_perm(z, _compute_E_poly(mu))
+    word = fperm.reduced_word(z)
+    # T_z = t^(-l(z)/2) (t^(l(z)/2) T_z): fold l(z) into the one scale
+    shift = len(word) + fperm.length(fperm.compose(z, vinv)) - fperm.length(vinv)
+    f = hecke.apply_tT_word(word, _compute_E_poly(mu))
     return MacdonaldResult(
         mu, f.scale(RatFunc.v_power(-shift)), "operator-chain", z
     )
@@ -411,10 +413,14 @@ def verify_haction(mu, i: int) -> list:
       t^(1/2) T_i Es = D_mu E - (1-t)/(1-a_simu) Es
     and for mu_i = mu_{i+1}:
       Y_i^-1 Y_{i+1} E = t^-1 E,  t^(1/2) tau_i E = 0,  t^(1/2) T_i E = t E.
+    An ascent mu_i < mu_{i+1} is checked at s_i mu.
     """
     mu = check_weight(mu, nonneg=True)
     if not 1 <= i <= len(mu) - 1:
         raise InvalidInputError(f"index {i} out of range")
+    if mu[i - 1] < mu[i]:
+        # swap roles so that mu_i > mu_{i+1}
+        mu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
     E = _compute_E_poly(mu)
     ed = eigen_data(mu, i)
     out = []
@@ -428,11 +434,6 @@ def verify_haction(mu, i: int) -> list:
         want = E.scale(RF_T)
         out.append(CheckLine(f"t^1/2 T_{i} E_{mu} = t E", tTE == want, _diff_detail(tTE, want)))
         return out
-    if mu[i - 1] < mu[i]:
-        # swap roles so that mu_i > mu_{i+1}
-        return verify_haction(
-            mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :], i
-        )
     smu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
     Es = _compute_E_poly(smu)
     want = E.scale(-(one_minus(RF_T) / one_minus(ed.a_mu))) + Es

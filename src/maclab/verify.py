@@ -1,18 +1,19 @@
 """Named verification suites for the command line.
 
-Each suite returns a list of (name, ok, detail) tuples; a suite passes
-when every entry does.  The acceptance-grade runs live in the test
-suite; these runners use n-scaled defaults so `verify --suite all`
-finishes quickly at small n.
+Each suite returns a list of `macdonald.CheckLine` records (name, ok,
+detail); a suite passes when every entry does.  The acceptance-grade
+runs live in the test suite; these runners use n-scaled defaults so
+`verify --suite all` finishes quickly at small n.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from . import diagrams, hecke, macdonald
+from . import diagrams, macdonald
 from . import permutations as fperm
 from .laurent import LaurentPoly
+from .macdonald import CheckLine
 from .ratfunc import RF_ONE, RF_T, RatFunc, one_minus
 
 
@@ -30,28 +31,24 @@ def _partitions(n, boxes):
 
 
 def suite_eigen(n: int, max_weight: int = 3):
-    out = []
-    for mu in _weights(n, max_weight):
-        for line in macdonald.verify_eigen(mu):
-            out.append((line.name, line.ok, line.detail))
-    return out
+    return [
+        line for mu in _weights(n, max_weight) for line in macdonald.verify_eigen(mu)
+    ]
 
 
 def suite_haction(n: int, max_weight: int = 3):
-    out = []
-    for mu in _weights(n, max_weight):
-        for i in range(1, n):
-            for line in macdonald.verify_haction(mu, i):
-                out.append((line.name, line.ok, line.detail))
-    return out
+    return [
+        line
+        for mu in _weights(n, max_weight)
+        for i in range(1, n)
+        for line in macdonald.verify_haction(mu, i)
+    ]
 
 
 def suite_kz(n: int, max_boxes: int = 4):
-    out = []
-    for lam in _partitions(n, max_boxes):
-        for line in macdonald.verify_kz(lam):
-            out.append((line.name, line.ok, line.detail))
-    return out
+    return [
+        line for lam in _partitions(n, max_boxes) for line in macdonald.verify_kz(lam)
+    ]
 
 
 def suite_counts(n: int, max_part: int = 2):
@@ -65,10 +62,10 @@ def suite_counts(n: int, max_part: int = 2):
         for z in zs:
             got = len(diagrams.enumerate_fillings(mu, z))
             out.append(
-                (f"#NAF_{mu}^{z}", got == naf, f"formula {naf}, enumerated {got}")
+                CheckLine(f"#NAF_{mu}^{z}", got == naf, f"formula {naf}, enumerated {got}")
             )
         got = sum(1 for _ in diagrams.iter_walks(mu, zs[0]))
-        out.append((f"#AW_{mu}", got == aw, f"formula {aw}, enumerated {got}"))
+        out.append(CheckLine(f"#AW_{mu}", got == aw, f"formula {aw}, enumerated {got}"))
     return out
 
 
@@ -93,18 +90,18 @@ def suite_golden(n: int = 3):
             },
         )
         got = macdonald.compute_E((3, 0)).poly
-        out.append(("E_(3,0)", got == E30, ""))
+        out.append(CheckLine("E_(3,0)", got == E30))
     if n >= 3:
         E210 = LaurentPoly(3, {(2, 1, 0): RF_ONE, (1, 1, 1): frac(1, 2) * q})
         got = macdonald.compute_E((2, 1, 0)).poly
-        out.append(("E_(2,1,0)", got == E210, ""))
+        out.append(CheckLine("E_(2,1,0)", got == E210))
         got = macdonald.compute_P((2, 1, 0)).poly
         want = macdonald.compute_P((2, 1, 0), "symmetrize").poly
-        out.append(("P_(2,1,0) routes", got == want, ""))
+        out.append(CheckLine("P_(2,1,0) routes", got == want))
         got = diagrams.cst_expand((2, 1), 3).poly
-        out.append(("P_(2,1,0) cst route", got == want, ""))
+        out.append(CheckLine("P_(2,1,0) cst route", got == want))
     out.append(
-        ("#NAF_(4,3,3,3,2,2,1,1,0,0)", diagrams.count((4, 3, 3, 3, 2, 2, 1, 1, 0, 0), "naf") == 3189375, "")
+        CheckLine("#NAF_(4,3,3,3,2,2,1,1,0,0)", diagrams.count((4, 3, 3, 3, 2, 2, 1, 1, 0, 0), "naf") == 3189375)
     )
     return out
 

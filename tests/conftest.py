@@ -3,6 +3,8 @@
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from maclab.laurent import LaurentPoly
 from maclab.ratfunc import RF_ONE, RF_T, RatFunc, one_minus
 
@@ -69,3 +71,19 @@ def random_laurent(rng: random.Random, n, deg=4, terms=5) -> LaurentPoly:
         if c:
             out[tuple(e)] = RatFunc.from_int(c)
     return LaurentPoly(n, out)
+
+
+def random_field_laurent(rng: random.Random, n, span=2, terms=4) -> LaurentPoly:
+    """Random Laurent polynomial: exponents in [-span, span], coefficients
+    from random_ratfunc (so with denominators and odd powers of v)."""
+    out = {}
+    for _ in range(rng.randint(0, terms)):
+        out[tuple(rng.randint(-span, span) for _ in range(n))] = random_ratfunc(rng)
+    return LaurentPoly(n, out)
+
+
+def laurent_polys(n):
+    """Hypothesis strategy for random_field_laurent in n variables."""
+    return st.randoms(use_true_random=False).map(
+        lambda rng: random_field_laurent(rng, n)
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from maclab.cli import main
 from maclab.errors import InvariantViolation
+from maclab.macdonald import CheckLine
 
 
 def run(capsys, *argv):
@@ -141,6 +142,79 @@ class TestGoldenDigests:
                 "E --n 3 --mu 0,3,4",
                 "c43d858f98c6ecac604cd8f490640b810bb34e3e92efb956d526d6142e1b7ca8",
             ),
+            # the verbs whose JSON documents share one header, in json and plain
+            (
+                "count --n 4 --mu 1,0,3,2 --what aw --format json",
+                "e11f09d3acf31d2bc64682182c99ebed946c28dae42c20881af0640bfb55907e",
+            ),
+            (
+                "count --n 4 --mu 1,0,3,2 --what aw",
+                "f16c302d5d30e1d3fbe955cf4f637f58a871adeba597922e3baad0aeeb13f656",
+            ),
+            (
+                "count --n 4 --mu 1,0,3,2 --what naf --format json",
+                "d1d77f2980095bbe972d35e9ebb2ec3063108087f865e541ff744af41a4ebcf5",
+            ),
+            (
+                "count --n 4 --mu 1,0,3,2 --what naf",
+                "ce678067b339bdf19e0ed36e1f3a8c007439b2135a412cfda3ea1169e32dd1fc",
+            ),
+            (
+                "count --n 4 --mu 3,2,1,0 --what cst --format json",
+                "84bd4ba0a8ad3e80d04ad5a7c72b1ec6119023fd03377aa61231ab4a6bd1dcc2",
+            ),
+            (
+                "count --n 4 --mu 3,2,1,0 --what cst",
+                "913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc",
+            ),
+            (
+                "word --n 4 --mu 0,2,1,3 --kind box --format json",
+                "0f871c2fe996d72605acaf4f16be81130acdb77de83a65df25bb8db7aac6050f",
+            ),
+            (
+                "word --n 4 --mu 0,2,1,3 --kind box",
+                "80728b9c3dd52b9cfb4367243f41f916da327f56b91a724c5af9e173fba588fd",
+            ),
+            (
+                "word --n 4 --mu 0,2,1,3 --kind column --format json",
+                "298fd94dbafa93dabc1585b335a8c57a5cf0f512f28536f11cb7d07dc2ba7ae1",
+            ),
+            (
+                "word --n 4 --mu 0,2,1,3 --kind column",
+                "0713f189a590efd5db538037f43d93e61c220fb54b7c8ae44c6ccb4a1bcf1517",
+            ),
+            (
+                "inv --n 4 --mu 0,2,1,3 --format json",
+                "58d1f1bc09d98941fb73faaea70160072f9c4cb27196bd2d84a2015cd94a4fd9",
+            ),
+            (
+                "inv --n 4 --mu 0,2,1,3",
+                "9aeea9a0b78fea86d047eeb61ac1e31b85fee62a85472f56920f892c01122e7c",
+            ),
+            (
+                "fillings --n 3 --mu 1,0,2 --z 2,3,1 --format json",
+                "ebca0eef1fb325e7b52c4c57b3c908fe5c2f6dc8e7b0ba8c688a6fc3d73c317f",
+            ),
+            (
+                "fillings --n 3 --mu 1,0,2 --z 2,3,1",
+                "b18bf9e182f272b02efb67e541ae8d1eb60238767a27f0107da7210cfb349a9f",
+            ),
+            (
+                "fillings --n 3 --mu 2,0,1 --kind queue --format json",
+                "cf4e89630df94646e62f967bc6647897adf419f4d4e3d8b17e3cb3a37aed9454",
+            ),
+            (
+                "fillings --n 3 --mu 2,0,1 --kind queue",
+                "562c8bedb2d9ade62bf38f0b4aa5d31eb7a4762ccf12d5722b92866762b428f0",
+            ),
+            (
+                "walks --n 3 --mu 0,2,1 --z 3,1,2 --format json",
+                "ee3ed2297e61b330e4a34cdfa165cd2327740c087314704ed28cdfa7c85d0dce",
+            ),
+            (
+                "walks --n 3 --mu 0,2,1 --z 3,1,2",
+                "de3d60f2ba6250471b7a3fb58f380def7fa1edce97cd755fc4adc9b2158f5706",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -158,6 +232,15 @@ class TestExitCodes:
     def test_malformed_value(self, capsys):
         rc, _, err = run(capsys, "E", "--n", "3", "--mu", "2,-1,0")
         assert rc == 2
+
+    @pytest.mark.parametrize("lam", ["0,2,1", "2,-1,0"])
+    def test_P_cst_validates_like_the_other_methods(self, capsys, lam):
+        rc, out, err = run(
+            capsys, "P", "--n", "3", "--lam", lam, "--method", "cst", "--format", "json"
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_verify_pass(self, capsys):
         rc, out, _ = run(capsys, "verify", "--suite", "golden", "--n", "3")
@@ -190,7 +273,9 @@ class TestExitCodes:
         from maclab import cli
 
         monkeypatch.setattr(
-            cli.verify, "run_suite", lambda name, n: [("made-up", False, "boom")]
+            cli.verify,
+            "run_suite",
+            lambda name, n: [CheckLine("made-up", False, "boom")],
         )
         rc, out, err = run(capsys, "verify", "--suite", "eigen", "--n", "2")
         assert rc == 1

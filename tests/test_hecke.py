@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import Q, T, random_laurent
+from conftest import Q, T, laurent_polys, random_laurent
 from maclab.errors import InvariantViolation
 from maclab.hecke import (
     apply_g,
@@ -87,6 +89,30 @@ class TestDemazureLusztig:
             i = rng.choice((1, 2))
             assert apply_T(i, f) == apply_T_reference(i, f)
             assert apply_T_inv(i, apply_T(i, f)) == f
+
+
+class TestProperties:
+    """T_i on random polynomials with negative exponents and coefficients
+    in the field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(laurent_polys(3), st.sampled_from((1, 2)))
+    def test_fast_path_matches_divided_difference(self, f, i):
+        assert apply_T(i, f) == apply_T_reference(i, f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(laurent_polys(3), st.sampled_from((1, 2)))
+    def test_quadratic_relation(self, f, i):
+        assert apply_T(i, apply_T(i, f)) == apply_T(i, f).scale(V - VINV) + f
+
+    @settings(max_examples=25, deadline=None)
+    @given(laurent_polys(4))
+    def test_braid_relations(self, f):
+        for i, j in ((1, 2), (2, 3)):
+            assert apply_T(i, apply_T(j, apply_T(i, f))) == apply_T(
+                j, apply_T(i, apply_T(j, f))
+            )
+        assert apply_T(1, apply_T(3, f)) == apply_T(3, apply_T(1, f))
 
 
 class TestGOperators:

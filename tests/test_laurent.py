@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import Q, T, frac, lp, random_laurent
+from conftest import Q, T, frac, laurent_polys, lp, random_laurent
 from maclab import permutations as fperm
 from maclab.errors import InvalidInputError
 from maclab.laurent import LaurentPoly, lp_arith, lp_coeff, lp_shift_qn, lp_subst_perm
@@ -114,3 +115,20 @@ class TestPresentation:
         f = x2 + x1.scale(frac(1, 2))
         obj = f.to_json_obj()
         assert [d["x"] for d in obj] == [[0, 1, 0], [1, 0, 0]]
+
+
+class TestProperties:
+    """Ring laws on random polynomials with negative exponents and
+    coefficients in the field."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_polys(2), laurent_polys(2), laurent_polys(2))
+    def test_ring_laws(self, a, b, c):
+        # (a + b) - a cancels the terms of a; (a + b) * (a - b) cancels
+        # ab against ba inside one product
+        for f in (a + b, a - b, a * b, (a + b) - a, (a + b) * (a - b)):
+            assert not any(x.is_zero() for x in f.terms.values())
+        assert (a - b) + b == a
+        assert (a + b) - a == b
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * (a - b) == a * a - b * b

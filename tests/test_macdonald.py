@@ -317,6 +317,19 @@ class TestHAction:
         names = [line.name for line in lines]
         assert any("tau" in s for s in names)
 
+    def test_ascent_swaps_before_any_work(self, monkeypatch):
+        # an ascent mu_i < mu_(i+1) is checked at s_i mu, with nothing
+        # computed at mu first: one Y_(i+1)
+        calls = []
+        apply_Y = hecke.apply_Y
+        monkeypatch.setattr(
+            hecke, "apply_Y", lambda i, f: calls.append(i) or apply_Y(i, f)
+        )
+        lines = verify_haction((0, 1, 2), 1)
+        assert calls == [2]
+        assert all(line.ok for line in lines)
+        assert lines == verify_haction((1, 0, 2), 1)
+
     def test_eigen_data_equal_parts(self):
         ed = eigen_data((1, 1, 0), 1)
         assert ed.a_mu == RatFunc.t_power(-1)
