@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import affine, diagrams, macdonald, verify
 from . import permutations as fperm
@@ -76,6 +77,8 @@ def cmd_f(args):
 def cmd_F(args):
     mu = _check_n(args, args.mu, "--mu")
     res = macdonald.compute_F(mu)
+    if args.format != "json":  # only the JSON document carries c(mu)
+        return _emit_poly(args, "F", mu, res.poly)
     c = macdonald.symmetrization_constant(mu)
     return _emit_poly(args, "F", mu, res.poly, symmetrization_constant=c.to_json_obj())
 
@@ -246,9 +249,12 @@ def build_parser():
     return p
 
 
+# parsing leaves no state on the parser, so one serves every call
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvariantViolation, ValueError) as e:

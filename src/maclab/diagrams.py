@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import permutations as fperm
@@ -474,6 +475,15 @@ def _strip_ok(lam, mu):
     return True
 
 
+def _trim(p):
+    """p as a tuple of ints without trailing zeros."""
+    p = tuple(int(x) for x in p)
+    k = len(p)
+    while k and p[k - 1] == 0:
+        k -= 1
+    return p[:k]
+
+
 def psi_strip(lam, mu) -> RatFunc:
     """psi_{lam/mu} for a horizontal strip, as a finite q-Pochhammer
     product over pairs 1 <= i <= j <= l(mu):
@@ -482,9 +492,14 @@ def psi_strip(lam, mu) -> RatFunc:
       (q^(mu_i - lam_{j+1} + 1) t^(j-i); q)_{lam_i - mu_i}
       / (q^(mu_i - lam_{j+1}) t^(j-i+1); q)_{lam_i - mu_i}
       / (q^(mu_i - mu_j + 1) t^(j-i); q)_{lam_i - mu_i}
+
+    Trailing zeros do not change it, and each strip is computed once.
     """
-    lam = tuple(int(x) for x in lam)
-    mu = tuple(int(x) for x in mu)
+    return _psi_strip(_trim(lam), _trim(mu))
+
+
+@lru_cache(maxsize=4096)
+def _psi_strip(lam, mu) -> RatFunc:
     if list(lam) != sorted(lam, reverse=True) or list(mu) != sorted(
         mu, reverse=True
     ):

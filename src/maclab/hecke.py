@@ -9,6 +9,12 @@ g = s_1 ... s_{n-1} followed by x_n -> q^(-1) x_n, and g_vee multiplies
 by x_1 after T_1 ... T_{n-1}.  Most internal work uses t^(1/2) T_i,
 which keeps coefficients free of odd powers of v: a word T_z goes
 through t^(l(z)/2) T_z and one scale by t^(-l(z)/2) at the end.
+
+An operator call writes f = S * sum N_e x^e over one shared denominator
+(`_split`): S is one RatFunc and each N_e lies in Z[q, v].  Every letter
+t^(1/2) T_i runs on the N_e, where its coefficients t, 1 - t and t - 1
+need only polynomial adds and a shift by v^2, and the call rebuilds
+canonical coefficients once at the end (`_join`).
 """
 
 from __future__ import annotations
@@ -16,61 +22,106 @@ from __future__ import annotations
 from . import permutations as fperm
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, _acc
-from .ratfunc import RF_ONE, RF_T, RatFunc
+from .ratfunc import RF_ONE, RF_T, RatFunc, _lift
 
-_V = RatFunc.v_power(1)
 _VINV = RatFunc.v_power(-1)
-_T_MINUS_1 = RF_T - RF_ONE
-_ONE_MINUS_T = RF_ONE - RF_T
+_T_MONOM = (0, 2)  # t = v^2 as a monomial of Z[q, v]
 
 
-def apply_tT(i: int, f: LaurentPoly) -> LaurentPoly:
-    """t^(1/2) T_i f, computed termwise.
+def _split(f: LaurentPoly):
+    """(S, N) with f = S * sum N_e x^e: S is one over the lcm of f's
+    denominators and each N_e is an IntPoly2, never zero."""
+    S, nums = _lift(list(f.terms.values()))
+    return S, dict(zip(f.terms, nums))
+
+
+def _join(n: int, S: RatFunc, N) -> LaurentPoly:
+    """S * sum N_e x^e with canonical coefficients."""
+    return LaurentPoly(n, {e: S * RatFunc(p) for e, p in N.items()}, _clean=True)
+
+
+def _check_index(i: int, n: int):
+    if not 1 <= i <= n - 1:
+        raise InvalidInputError(f"T_{i} needs 1 <= i <= {n - 1}")
+
+
+def _tT(i: int, N):
+    """t^(1/2) T_i on the numerators N, termwise.
 
     On a monomial with exponents (a, b) at positions (i, i+1):
       a = b:  t x^e
       a > b:  x^(s_i e) + (1 - t) * (the monomials strictly between)
       a < b:  t x^(s_i e) + (t - 1) x^e + (t - 1) * (strictly between)
-    which is the divided difference expanded into a geometric sum.
+    which is the divided difference expanded into a geometric sum.  The
+    coefficients t, 1 - t and t - 1 keep N in Z[q, v]: t p is a shift
+    of p by v^2.
     """
-    n = f.n
-    if not 1 <= i <= n - 1:
-        raise InvalidInputError(f"T_{i} needs 1 <= i <= {n - 1}")
     out = {}
     ia, ib = i - 1, i
-    for e, c in f.terms.items():
+    for e, p in N.items():
         a, b = e[ia], e[ib]
         if a == b:
-            _acc(out, e, c * RF_T)
+            _acc(out, e, p.mul_monom(_T_MONOM))
             continue
         mono = list(e)
         mono[ia], mono[ib] = b, a
         if a > b:
-            _acc(out, tuple(mono), c)
+            _acc(out, tuple(mono), p)
             if a - b == 1:
                 continue
-            cm = c * _ONE_MINUS_T
+            pm = p - p.mul_monom(_T_MONOM)
         else:
-            _acc(out, tuple(mono), c * RF_T)
-            cm = c * _T_MINUS_1
-            _acc(out, e, cm)
+            tp = p.mul_monom(_T_MONOM)
+            _acc(out, tuple(mono), tp)
+            pm = tp - p
+            _acc(out, e, pm)
         # strictly between, x_i-exponent from max(a, b) - 1 down
         hi, lo = max(a, b), min(a, b)
         for k in range(1, hi - lo):
             mono[ia] = hi - k
             mono[ib] = lo + k
-            _acc(out, tuple(mono), cm)
-    return LaurentPoly(n, out, _clean=True)
+            _acc(out, tuple(mono), pm)
+    return out
+
+
+def _gvee(N, n: int):
+    """x_1 t^((n-1)/2) T_1 ... T_{n-1} on the numerators N: g_vee up to
+    the scalar t^((n-1)/2)."""
+    for i in range(n - 1, 0, -1):
+        N = _tT(i, N)
+    return {(e[0] + 1,) + e[1:]: p for e, p in N.items()}
+
+
+def _word(word, f: LaurentPoly, s: RatFunc) -> LaurentPoly:
+    """s t^(l(z)/2) T_z f along a word, rightmost letter first: one
+    split, every letter on the numerators, one join."""
+    word = list(word)
+    for i in word:
+        _check_index(i, f.n)
+    S, N = _split(f)
+    for i in reversed(word):
+        N = _tT(i, N)
+    return _join(f.n, S * s, N)
+
+
+def apply_tT(i: int, f: LaurentPoly) -> LaurentPoly:
+    """t^(1/2) T_i f (see `_tT`)."""
+    return _word((i,), f, RF_ONE)
 
 
 def apply_T(i: int, f: LaurentPoly) -> LaurentPoly:
     """T_i f."""
-    return apply_tT(i, f).scale(_VINV)
+    return _word((i,), f, _VINV)
 
 
 def apply_T_inv(i: int, f: LaurentPoly) -> LaurentPoly:
-    """T_i^(-1) f = (T_i - (t^(1/2) - t^(-1/2))) f."""
-    return apply_T(i, f) - f.scale(_V - _VINV)
+    """T_i^(-1) f = t^(-1/2) (t^(1/2) T_i - (t - 1)) f."""
+    _check_index(i, f.n)
+    S, N = _split(f)
+    out = _tT(i, N)
+    for e, p in N.items():
+        _acc(out, e, p - p.mul_monom(_T_MONOM))
+    return _join(f.n, S * _VINV, out)
 
 
 def divided_difference_part(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -138,8 +189,8 @@ def apply_g_inv(f: LaurentPoly) -> LaurentPoly:
 def apply_gvee(f: LaurentPoly) -> LaurentPoly:
     """g_vee f = x_1 T_1 ... T_{n-1} f (T_{n-1} first)."""
     n = f.n
-    out = apply_tT_word(range(1, n), f)
-    return out.mul_monomial((1,) + (0,) * (n - 1), RatFunc.v_power(-(n - 1)))
+    S, N = _split(f)
+    return _join(n, S * RatFunc.v_power(-(n - 1)), _gvee(N, n))
 
 
 def apply_Y(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -217,15 +268,14 @@ def _op_index(text, n, top):
 
 def apply_tT_word(word, f: LaurentPoly) -> LaurentPoly:
     """t^(l(z)/2) T_z f along a reduced word."""
-    for i in reversed(word):
-        f = apply_tT(i, f)
-    return f
+    return _word(word, f, RF_ONE)
 
 
 def apply_T_word(word, f: LaurentPoly) -> LaurentPoly:
     """T_z f for z = s_{word[0]} s_{word[1]} ... (rightmost letter first),
     as t^(-len(word)/2) times the t^(1/2) T_i word."""
-    return apply_tT_word(word, f).scale(RatFunc.v_power(-len(word)))
+    word = list(word)
+    return _word(word, f, RatFunc.v_power(-len(word)))
 
 
 def hecke_symmetrize_sum(f: LaurentPoly) -> LaurentPoly:
@@ -236,18 +286,20 @@ def hecke_symmetrize_sum(f: LaurentPoly) -> LaurentPoly:
     applications of t^(1/2) T_i.
     """
 
-    def level(m: int, g: LaurentPoly) -> LaurentPoly:
+    def level(m: int, g):
         if m <= 1:
             return g
         inner = level(m - 1, g)
-        total = inner
+        total = dict(inner)
         cur = inner
         for j in range(m - 1, 0, -1):
-            cur = apply_tT(j, cur)
-            total = total + cur
+            cur = _tT(j, cur)
+            for e, p in cur.items():
+                _acc(total, e, p)
         return total
 
-    return level(f.n, f)
+    S, N = _split(f)
+    return _join(f.n, S, level(f.n, N))
 
 
 def apply_symmetrizer(f: LaurentPoly) -> LaurentPoly:

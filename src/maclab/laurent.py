@@ -28,17 +28,21 @@ def check_weight(mu, n=None, nonneg=False):
 
 
 def _acc(out, e, c):
-    """Add c into the term dict out at exponent e; no zero is kept."""
+    """Add c into the term dict out at exponent e; no zero is kept.
+
+    The values are RatFunc coefficients or, inside the Hecke operators,
+    IntPoly2 numerators; both are false exactly when zero.
+    """
     prev = out.get(e)
     if prev is None:
-        if not c.is_zero():
+        if c:
             out[e] = c
     else:
         s = prev + c
-        if s.is_zero():
-            del out[e]
-        else:
+        if s:
             out[e] = s
+        else:
+            del out[e]
 
 
 class LaurentPoly:
@@ -94,7 +98,10 @@ class LaurentPoly:
         self._check_same(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            _acc(out, e, c)
+            if e in out:
+                _acc(out, e, c)
+            else:  # never zero: a LaurentPoly stores no zero
+                out[e] = c
         return LaurentPoly(self.n, out, _clean=True)
 
     def __neg__(self):

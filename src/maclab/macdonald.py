@@ -16,8 +16,8 @@ from . import hecke
 from . import permutations as fperm
 from .affine import box_greedy_word, decompose_mu
 from .errors import InvalidInputError, InvariantViolation
-from .laurent import LaurentPoly, check_weight
-from .ratfunc import RF_ONE, RF_T, RatFunc, one_minus
+from .laurent import LaurentPoly, _acc, check_weight
+from .ratfunc import RF_ONE, RF_T, RING, RatFunc, _cancel_common, one_minus
 
 
 @dataclass(frozen=True)
@@ -74,30 +74,38 @@ class MacdonaldResult:
 
 @lru_cache(maxsize=4096)
 def _compute_E_poly(mu) -> LaurentPoly:
+    # f = S * sum N_e x^e with integer numerators N_e (see hecke._split)
     n = len(mu)
-    f = LaurentPoly.one(n)
     nu = (0,) * n
+    S, N = RF_ONE, {nu: RING.one}
     for letter in reversed(box_greedy_word(mu)):
         if letter == "pi":
-            f = hecke.apply_gvee(f)
+            # g_vee up to a scalar, which the normalization absorbs
+            N = hecke._gvee(N, n)
             nu = (nu[-1] + 1,) + nu[:-1]
-            lead = f.coeff(nu)
-            if lead.is_zero():
+            lead = N.get(nu)
+            if lead is None:
                 raise InvariantViolation(f"vanishing leading term at {nu}")
-            if not lead.is_one():
-                f = f.scale(lead.inverse())
+            S, polys = _cancel_common(RatFunc(RING.one, lead), list(N.values()))
+            N = dict(zip(N, polys))
         else:
             i = int(letter[1:])
             if nu[i - 1] <= nu[i]:
                 raise InvariantViolation(
                     f"box-greedy word hit s_{i} at weight {nu}"
                 )
+            # t^(1/2) T_i + num/den = (den t^(1/2) T_i + num) / den
             scalar = one_minus(RF_T) / one_minus(_a_mu(nu, i))
-            f = hecke.apply_tT(i, f) + f.scale(scalar)
+            num, den = scalar.num, scalar.den
+            out = {e: den * p for e, p in hecke._tT(i, N).items()}
+            for e, p in N.items():
+                _acc(out, e, num * p)
+            N = out
+            S = S / RatFunc(den)
             nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
     if nu != mu:
         raise InvariantViolation(f"walk ended at {nu}, wanted {mu}")
-    return f
+    return hecke._join(n, S, N)
 
 
 def compute_E(mu) -> MacdonaldResult:

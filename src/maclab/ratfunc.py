@@ -372,6 +372,9 @@ class RatFunc:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self):
+        return bool(self.num)
+
     def is_one(self) -> bool:
         return self.num == _ONE and not self._fac and self._c == 1
 
@@ -568,6 +571,67 @@ class RatFunc:
         if self.den == _ONE:
             return f"RatFunc('{self.num}')"
         return f"RatFunc('({self.num})/({self.den})')"
+
+
+def _lift(cs):
+    """(S, nums) with c = S * num for every c of cs: S is one over the lcm
+    of their denominators, and each num is an IntPoly2."""
+    c = 1
+    fac = {}
+    for x in cs:
+        c = c * x._c // gcd(c, x._c)
+        for f, k in x._fac.items():
+            if fac.get(f, 0) < k:
+                fac[f] = k
+    lifts = {}  # denominators recur, so each lift is built once
+    nums = []
+    for x in cs:
+        key = (x._c, tuple(x._fac.items()))
+        lift = lifts.get(key)
+        if lift is None:
+            lift = RING.ground_new(c // x._c)
+            for f, k in fac.items():
+                d = k - x._fac.get(f, 0)
+                if d:
+                    lift = lift * f.poly**d
+            lifts[key] = lift
+        nums.append(x.num if lift == _ONE else x.num * lift)
+    return _make(_ONE, c, fac), nums
+
+
+def _exquo_all(f, polys):
+    """[p / f for p in polys], or None when f does not divide one of them."""
+    quos = []
+    for p in polys:
+        quo = f.exquo(p) if f.fits(_degs(p)) else None
+        if quo is None:
+            return None
+        quos.append(quo)
+    return quos
+
+
+def _cancel_common(s, polys):
+    """Divide the nonzero IntPoly2 polys by every factor of s's denominator
+    that divides all of them, and move it into s: (s', polys') with
+    s' * p' = s * p for each p."""
+    c, fac = s._c, dict(s._fac)
+    if c > 1:
+        g = gcd(c, *(x for p in polys for x in p.values()))
+        if g > 1:
+            polys = [p.quo_ground(g) for p in polys]
+            c //= g
+    for f, k in s._fac.items():
+        while k:
+            quos = _exquo_all(f, polys)
+            if quos is None:
+                break
+            polys = quos
+            k -= 1
+        if k:
+            fac[f] = k
+        else:
+            del fac[f]
+    return _make(s.num, c, fac), polys
 
 
 _RF_ZERO = _make(_ZERO, 1, {}, _ONE)

@@ -37,10 +37,13 @@ def suite_eigen(n: int, max_weight: int = 3):
 
 
 def suite_haction(n: int, max_weight: int = 3):
+    # verify_haction checks an ascent at s_i mu, so each pair is taken once,
+    # at its descent or tie
     return [
         line
         for mu in _weights(n, max_weight)
         for i in range(1, n)
+        if mu[i - 1] >= mu[i]
         for line in macdonald.verify_haction(mu, i)
     ]
 

@@ -100,6 +100,49 @@ class TestDeterminism:
         assert a == b
 
 
+class TestParserReuse:
+    CALLS = [
+        ["E", "--n", "3", "--mu", "0,2,1", "--z", "2,1,3", "--format", "json"],
+        ["P", "--n", "3", "--lam", "2,1,0", "--method", "cst"],
+        ["F", "--n", "2", "--mu", "1,0", "--format", "latex"],
+        ["count", "--n", "3", "--mu", "2,0,1", "--what", "naf", "--format", "json"],
+        ["E", "--n", "3", "--mu", "2,1,0"],
+    ]
+
+    def test_no_state_between_calls(self, capsys, monkeypatch):
+        # one parser serves every call; each call must see only its argv
+        from maclab import cli
+
+        shared = [run(capsys, *argv) for argv in self.CALLS]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(capsys, *argv) for argv in self.CALLS]
+        assert shared == fresh
+        assert [rc for rc, _, _ in shared] == [0, 0, 2, 0, 0]
+
+
+class TestFConstant:
+    def test_only_json_computes_the_constant(self, capsys, monkeypatch):
+        from maclab import cli
+
+        argv = ["F", "--n", "4", "--mu", "0,1,0,1", "--format"]
+        want = {fmt: run(capsys, *argv, fmt) for fmt in ("plain", "latex")}
+        refusal = run(capsys, "F", "--n", "2", "--mu", "1,0", "--format", "latex")
+
+        def refuse(mu):
+            raise AssertionError("symmetrization_constant called")
+
+        monkeypatch.setattr(cli.macdonald, "symmetrization_constant", refuse)
+        for fmt in ("plain", "latex"):
+            assert run(capsys, *argv, fmt) == want[fmt]
+            assert want[fmt][0] == 0
+        assert refusal[0] == 2
+        assert run(capsys, "F", "--n", "2", "--mu", "1,0", "--format", "latex") == refusal
+        monkeypatch.undo()
+        rc, out, _ = run(capsys, *argv, "json")
+        assert rc == 0
+        assert "symmetrization_constant" in json.loads(out)
+
+
 class TestGoldenDigests:
     """SHA-256 of stdout, pinned so that refactors keep the bytes."""
 
@@ -215,6 +258,26 @@ class TestGoldenDigests:
                 "walks --n 3 --mu 0,2,1 --z 3,1,2",
                 "de3d60f2ba6250471b7a3fb58f380def7fa1edce97cd755fc4adc9b2158f5706",
             ),
+            (
+                "E --n 4 --mu 0,2,1,1 --z 3,1,4,2 --format json",
+                "4f14b3c21e14870f85dd4035b689dedfe83da9caf02bf4ca0255c783e066ec02",
+            ),
+            (
+                "P --n 4 --lam 2,1,1,0 --method symmetrize --format json",
+                "596699fa8d183c8e241068241c21e8fcdc1cc940b58d74a831b34648eef1b4bc",
+            ),
+            (
+                "F --n 4 --mu 1,0,2,0 --format json",
+                "4167bf1391fcefaa97363e18e47c3a8c5aac06cd49c4cfa3954ff1a2dd69e9da",
+            ),
+            (
+                "F --n 4 --mu 0,1,0,1",
+                "648ddfdee235f846ebf06205c7b1e29cee066b29b741cf5a46d1132b076c8d85",
+            ),
+            (
+                "F --n 4 --mu 0,1,0,1 --format latex",
+                "75ac6c0f22693ac6bf2344566a9afd15a0566a43d4a9f963ee7152b114873e9b",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -304,6 +367,11 @@ class TestExitCodes:
         assert rc == 2
         assert out == ""
         assert "--n" in err
+
+    def test_verify_haction_counts_each_check_once(self, capsys):
+        rc, out, _ = run(capsys, "verify", "--suite", "haction", "--n", "4")
+        assert rc == 0
+        assert out.strip() == "282/282 checks passed"
 
     def test_verify_empty_suite_fails(self, capsys):
         # haction has no index i with 1 <= i <= n - 1 at n = 1

@@ -368,6 +368,33 @@ class TestPsiAndCST:
             want = want + LaurentPoly.x(i, 4)
         assert got == want
 
+    def test_cst_computes_each_strip_once(self, monkeypatch):
+        # every distinct strip of the chains, trailing zeros aside, is
+        # validated (and so computed) once, however many chains share it
+        lam, n = (3, 1, 1, 1, 0), 5
+        chains = diagrams.column_strict_tableaux(lam, n)
+        strips = {
+            (diagrams._trim(c[k]), diagrams._trim(c[k - 1]))
+            for c in chains
+            for k in range(1, n + 1)
+        }
+        seen = []
+        real = diagrams._strip_ok
+
+        def counting(a, b):
+            seen.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(diagrams, "_strip_ok", counting)
+        diagrams._psi_strip.cache_clear()
+        try:
+            got = cst_expand(lam, n).poly
+        finally:
+            diagrams._psi_strip.cache_clear()
+        assert len(seen) == len(set(seen)) == len(strips) < len(chains) * n
+        assert set(seen) == strips
+        assert got == compute_P(lam).poly
+
     def test_cst_matches_P(self):
         for n in (3, 4):
             for lam in partitions_in(n, 4):

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Q, T, laurent_polys, random_laurent
+from maclab import permutations as fperm
 from maclab.errors import InvariantViolation
 from maclab.hecke import (
+    _join,
+    _split,
     apply_g,
     apply_g_inv,
     apply_gvee,
@@ -18,6 +21,7 @@ from maclab.hecke import (
     apply_T_inv,
     apply_T_reference,
     apply_tT,
+    apply_tT_word,
     apply_X_omega,
     apply_Y,
     apply_Y_inv,
@@ -113,6 +117,48 @@ class TestProperties:
                 j, apply_T(i, apply_T(j, f))
             )
         assert apply_T(1, apply_T(3, f)) == apply_T(3, apply_T(1, f))
+
+
+def reference_word(word, f):
+    """T_z f letter by letter through the divided difference."""
+    for i in reversed(word):
+        f = apply_T_reference(i, f)
+    return f
+
+
+class TestSharedDenominator:
+    """The operators run on integer numerators over one denominator; the
+    divided difference (`apply_T_reference`) stays the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(laurent_polys(3))
+    def test_split_join_round_trip(self, f):
+        S, N = _split(f)
+        assert all(N.values())
+        assert _join(3, S, N) == f
+
+    @settings(max_examples=40, deadline=None)
+    @given(laurent_polys(3), st.lists(st.sampled_from((1, 2)), max_size=4))
+    def test_word_matches_divided_difference(self, f, word):
+        want = reference_word(word, f).scale(RatFunc.v_power(len(word)))
+        assert apply_tT_word(word, f) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(laurent_polys(3))
+    def test_symmetrize_sum_matches_brute_force(self, f):
+        want = LaurentPoly.zero(3)
+        for z in fperm.all_perms(3):
+            word = fperm.reduced_word(z)
+            want = want + reference_word(word, f).scale(
+                RatFunc.v_power(len(word))
+            )
+        assert hecke_symmetrize_sum(f) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(laurent_polys(3), st.sampled_from((1, 2)))
+    def test_inverse_matches_divided_difference(self, f, i):
+        want = apply_T_reference(i, f) - f.scale(V - VINV)
+        assert apply_T_inv(i, f) == want
 
 
 class TestGOperators:

@@ -13,6 +13,7 @@ import pytest
 from conftest import Q, T, compositions, frac, lp, partitions_in
 from maclab import hecke
 from maclab import permutations as fperm
+from maclab.affine import box_greedy_word
 from maclab.errors import InvalidInputError
 from maclab.laurent import LaurentPoly
 from maclab.macdonald import (
@@ -330,6 +331,22 @@ class TestHAction:
         assert all(line.ok for line in lines)
         assert lines == verify_haction((1, 0, 2), 1)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_suite_checks_each_pair_once(self, n):
+        # an ascent is checked at s_i mu, so the suite skips it: the names
+        # are those of every (mu, i), each once
+        from maclab import verify
+
+        names = [line.name for line in verify.suite_haction(n)]
+        every = {
+            line.name
+            for mu in verify._weights(n, 3)
+            for i in range(1, n)
+            for line in verify_haction(mu, i)
+        }
+        assert len(names) == len(set(names))
+        assert set(names) == every
+
     def test_eigen_data_equal_parts(self):
         ed = eigen_data((1, 1, 0), 1)
         assert ed.a_mu == RatFunc.t_power(-1)
@@ -530,6 +547,41 @@ class TestStructuralProperties:
             compute_P((1, 2, 0))
         with pytest.raises(InvalidInputError):
             compute_P((2, 1, 0), "nonsense")
+
+
+def reference_walk(mu):
+    """E_mu by the intertwiner walk over Q(q, t^(1/2)), with T_i through
+    the divided difference and the leading coefficient divided out at
+    every pi letter."""
+    n = len(mu)
+    f = LaurentPoly.one(n)
+    nu = (0,) * n
+    for letter in reversed(box_greedy_word(mu)):
+        if letter == "pi":
+            for i in range(n - 1, 0, -1):
+                f = hecke.apply_T_reference(i, f)
+            f = f.mul_monomial((1,) + (0,) * (n - 1))
+            nu = (nu[-1] + 1,) + nu[:-1]
+            f = f.scale(f.coeff(nu).inverse())
+        else:
+            i = int(letter[1:])
+            a = eigen_data(nu, i).a_mu
+            f = hecke.apply_T_reference(i, f).scale(RatFunc.v_power(1)) + f.scale(
+                one_minus(T) / one_minus(a)
+            )
+            nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
+    return f
+
+
+class TestWalkOnNumerators:
+    """The walk keeps integer numerators over one denominator; the same
+    walk in the field, letter by letter, is its oracle."""
+
+    @pytest.mark.parametrize(
+        "mu", [(0, 1, 2), (2, 0, 1), (1, 2, 0, 1), (0, 3, 1), (2, 2, 0), (0, 1, 2, 3)]
+    )
+    def test_matches_field_walk(self, mu):
+        assert compute_E(mu).poly == reference_walk(mu)
 
 
 class TestRecursions:
