@@ -14,7 +14,10 @@ An operator call writes f = S * sum N_e x^e over one shared denominator
 (`_split`): S is one RatFunc and each N_e lies in Z[q, v].  Every letter
 t^(1/2) T_i runs on the N_e, where its coefficients t, 1 - t and t - 1
 need only polynomial adds and a shift by v^2, and the call rebuilds
-canonical coefficients once at the end (`_join`).
+canonical coefficients once at the end (`_join`).  The letters of a word
+(`_tT_word`) and the symmetrizer's coset recursion (`_symmetrize`) run
+on the numerators alone, so `macdonald` applies them to the cached
+numerator form of E_mu without a split.
 """
 
 from __future__ import annotations
@@ -36,8 +39,19 @@ def _split(f: LaurentPoly):
 
 
 def _join(n: int, S: RatFunc, N) -> LaurentPoly:
-    """S * sum N_e x^e with canonical coefficients."""
-    return LaurentPoly(n, {e: S * RatFunc(p) for e, p in N.items()}, _clean=True)
+    """S * sum N_e x^e with canonical coefficients.
+
+    Equal numerators are common (about half of them on the Macdonald
+    constructions), so each distinct one is cancelled against S once.
+    """
+    coeffs = {}
+    terms = {}
+    for e, p in N.items():
+        c = coeffs.get(p)
+        if c is None:
+            c = coeffs[p] = S * RatFunc(p)
+        terms[e] = c
+    return LaurentPoly(n, terms, _clean=True)
 
 
 def _check_index(i: int, n: int):
@@ -92,6 +106,14 @@ def _gvee(N, n: int):
     return {(e[0] + 1,) + e[1:]: p for e, p in N.items()}
 
 
+def _tT_word(word, N):
+    """t^(l(z)/2) T_z on the numerators N along a word, rightmost letter
+    first."""
+    for i in reversed(word):
+        N = _tT(i, N)
+    return N
+
+
 def _word(word, f: LaurentPoly, s: RatFunc) -> LaurentPoly:
     """s t^(l(z)/2) T_z f along a word, rightmost letter first: one
     split, every letter on the numerators, one join."""
@@ -99,9 +121,7 @@ def _word(word, f: LaurentPoly, s: RatFunc) -> LaurentPoly:
     for i in word:
         _check_index(i, f.n)
     S, N = _split(f)
-    for i in reversed(word):
-        N = _tT(i, N)
-    return _join(f.n, S * s, N)
+    return _join(f.n, S * s, _tT_word(word, N))
 
 
 def apply_tT(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -278,35 +298,39 @@ def apply_T_word(word, f: LaurentPoly) -> LaurentPoly:
     return _word(word, f, RatFunc.v_power(-len(word)))
 
 
-def hecke_symmetrize_sum(f: LaurentPoly) -> LaurentPoly:
-    """sum over z in S_n of t^(l(z)/2) T_z f.
+def _symmetrize(N, n: int):
+    """sum over z in S_n of t^(l(z)/2) T_z on the numerators N.
 
     Uses the coset factorization z = (s_j s_{j+1} .. s_{n-1}) y with
     y in S_{n-1} and additive lengths, so the sum needs only O(n^2)
-    applications of t^(1/2) T_i.
+    letters t^(1/2) T_i.
     """
+    if n <= 1:
+        return N
+    inner = _symmetrize(N, n - 1)
+    total = dict(inner)
+    cur = inner
+    for j in range(n - 1, 0, -1):
+        cur = _tT(j, cur)
+        for e, p in cur.items():
+            _acc(total, e, p)
+    return total
 
-    def level(m: int, g):
-        if m <= 1:
-            return g
-        inner = level(m - 1, g)
-        total = dict(inner)
-        cur = inner
-        for j in range(m - 1, 0, -1):
-            cur = _tT(j, cur)
-            for e, p in cur.items():
-                _acc(total, e, p)
-        return total
 
+def _symmetrizer(n: int, S: RatFunc, N) -> LaurentPoly:
+    """1_0 f for f = S * sum N_e x^e, with t^(-l(w0)/2) folded into S."""
+    return _join(n, S * RatFunc.v_power(-(n * (n - 1) // 2)), _symmetrize(N, n))
+
+
+def hecke_symmetrize_sum(f: LaurentPoly) -> LaurentPoly:
+    """sum over z in S_n of t^(l(z)/2) T_z f (see `_symmetrize`)."""
     S, N = _split(f)
-    return _join(f.n, S, level(f.n, N))
+    return _join(f.n, S, _symmetrize(N, f.n))
 
 
 def apply_symmetrizer(f: LaurentPoly) -> LaurentPoly:
     """1_0 f = t^(-l(w0)/2) sum_z t^(l(z)/2) T_z f."""
-    n = f.n
-    lw0 = n * (n - 1) // 2
-    return hecke_symmetrize_sum(f).scale(RatFunc.v_power(-lw0))
+    return _symmetrizer(f.n, *_split(f))
 
 
 def poincare_poly(n: int) -> RatFunc:

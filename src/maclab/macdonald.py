@@ -3,14 +3,22 @@
 E_mu is built by walking the box-greedy word of u_mu from the constant
 polynomial: a pi letter applies g_vee, an s_i letter applies the
 intertwiner step t^(1/2) T_i + (1 - t)/(1 - a_nu), and each new leading
-coefficient is normalized to 1.  Everything else is a Hecke-operator
-twist of some E.
+coefficient is normalized to 1.  The walk runs on integer numerators
+over one shared denominator, and that form (S, N) is cached (`_E_form`);
+E_mu is its join.
+
+Everything else is a Hecke-operator twist of some E, run on N with one
+join at the end and its scalar folded into S: E_mu^z and f_mu apply a
+reduced word, F_mu and P_lambda by `symmetrize` the coset recursion of
+the symmetrizer, and P_lambda by `sum-rel` walks the orbit of lambda by
+f_(s_i nu) = t^(1/2) T_i f_nu (nu_i > nu_(i+1)), one letter per weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import hecke
 from . import permutations as fperm
@@ -73,8 +81,11 @@ class MacdonaldResult:
 
 
 @lru_cache(maxsize=4096)
-def _compute_E_poly(mu) -> LaurentPoly:
-    # f = S * sum N_e x^e with integer numerators N_e (see hecke._split)
+def _E_form(mu):
+    """E_mu as (S, N) with E_mu = S * sum N_e x^e (see hecke._split): S
+    is one RatFunc and each N_e lies in Z[q, v].  The result is shared,
+    so N is a read-only view: consumers run their letters into new
+    dicts."""
     n = len(mu)
     nu = (0,) * n
     S, N = RF_ONE, {nu: RING.one}
@@ -86,8 +97,15 @@ def _compute_E_poly(mu) -> LaurentPoly:
             lead = N.get(nu)
             if lead is None:
                 raise InvariantViolation(f"vanishing leading term at {nu}")
-            S, polys = _cancel_common(RatFunc(RING.one, lead), list(N.values()))
-            N = dict(zip(N, polys))
+            # E_nu is monic, so g_vee's leading coefficient S * lead is a
+            # monomial: cancelling lead against the factors of S avoids
+            # factoring it afresh
+            lc = S * RatFunc(lead)
+            # equal numerators are common: divide each distinct one once
+            distinct = list(dict.fromkeys(N.values()))
+            S, quos = _cancel_common(S / lc, distinct)
+            quo = dict(zip(distinct, quos))
+            N = {e: quo[p] for e, p in N.items()}
         else:
             i = int(letter[1:])
             if nu[i - 1] <= nu[i]:
@@ -105,7 +123,12 @@ def _compute_E_poly(mu) -> LaurentPoly:
             nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
     if nu != mu:
         raise InvariantViolation(f"walk ended at {nu}, wanted {mu}")
-    return hecke._join(n, S, N)
+    return S, MappingProxyType(N)
+
+
+@lru_cache(maxsize=4096)
+def _compute_E_poly(mu) -> LaurentPoly:
+    return hecke._join(len(mu), *_E_form(mu))
 
 
 def compute_E(mu) -> MacdonaldResult:
@@ -120,12 +143,11 @@ def compute_E_rel(mu, z) -> MacdonaldResult:
     z = fperm.check_perm(z, len(mu))
     vinv = fperm.inverse(fperm.v_increasing(mu))
     word = fperm.reduced_word(z)
-    # T_z = t^(-l(z)/2) (t^(l(z)/2) T_z): fold l(z) into the one scale
+    # T_z = t^(-l(z)/2) (t^(l(z)/2) T_z): fold l(z) into the one scalar
     shift = len(word) + fperm.length(fperm.compose(z, vinv)) - fperm.length(vinv)
-    f = hecke.apply_tT_word(word, _compute_E_poly(mu))
-    return MacdonaldResult(
-        mu, f.scale(RatFunc.v_power(-shift)), "operator-chain", z
-    )
+    S, N = _E_form(mu)
+    f = hecke._join(len(mu), S * RatFunc.v_power(-shift), hecke._tT_word(word, N))
+    return MacdonaldResult(mu, f, "operator-chain", z)
 
 
 def compute_f(mu) -> MacdonaldResult:
@@ -133,10 +155,31 @@ def compute_f(mu) -> MacdonaldResult:
     mu = check_weight(mu, nonneg=True)
     lam = tuple(sorted(mu, reverse=True))
     z = fperm.min_coset_rep(mu)
-    f = hecke.apply_tT_word(
-        fperm.reduced_word(z), _compute_E_poly(lam)
-    )
+    S, N = _E_form(lam)
+    f = hecke._join(len(mu), S, hecke._tT_word(fperm.reduced_word(z), N))
     return MacdonaldResult(mu, f, "operator-chain", z)
+
+
+def _orbit_numerators(lam, N):
+    """Yield the numerators of f_nu, over the S of E_lam, for every nu
+    in the orbit of lam.
+
+    f_lam = E_lam, and f_(s_i nu) = t^(1/2) T_i f_nu at each descent
+    nu_i > nu_(i+1).  Each nu other than lam is reached once, from
+    s_i nu with i the first ascent of nu, so the walk costs one letter
+    per weight.
+    """
+    n = len(lam)
+    stack = [(lam, N)]
+    while stack:
+        nu, M = stack.pop()
+        yield M
+        for i in range(1, n):
+            if nu[i - 1] > nu[i]:
+                snu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
+                # i is the first ascent of snu: snu_1 >= ... >= snu_i
+                if all(snu[j - 1] >= snu[j] for j in range(1, i)):
+                    stack.append((snu, hecke._tT(i, M)))
 
 
 def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
@@ -146,14 +189,17 @@ def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
         raise InvalidInputError(f"{lam} is not weakly decreasing")
     n = len(lam)
     if method == "sum-rel":
-        total = LaurentPoly.zero(n)
-        for nu in fperm.weight_orbit(lam):
-            total = total + compute_f(nu).poly
-        return MacdonaldResult(lam, total, "operator-chain")
+        S, N = _E_form(lam)
+        total = {}
+        for M in _orbit_numerators(lam, N):
+            for e, p in M.items():
+                _acc(total, e, p)
+        return MacdonaldResult(lam, hecke._join(n, S, total), "operator-chain")
     if method == "symmetrize":
+        S, N = _E_form(lam)
         w_lam = hecke.poincare_stabilizer(lam)
-        f = hecke.hecke_symmetrize_sum(_compute_E_poly(lam))
-        return MacdonaldResult(lam, f.scale(w_lam.inverse()), "symmetrization")
+        f = hecke._join(n, S / w_lam, hecke._symmetrize(N, n))
+        return MacdonaldResult(lam, f, "symmetrization")
     raise InvalidInputError(f"unknown method {method!r}")
 
 
@@ -161,7 +207,7 @@ def compute_F(mu) -> MacdonaldResult:
     """F_mu = 1_0 E_mu (coefficients may carry odd powers of t^(1/2))."""
     mu = check_weight(mu, nonneg=True)
     return MacdonaldResult(
-        mu, hecke.apply_symmetrizer(_compute_E_poly(mu)), "symmetrization"
+        mu, hecke._symmetrizer(len(mu), *_E_form(mu)), "symmetrization"
     )
 
 

@@ -151,7 +151,8 @@ def _line_exquo(p, step, terms):
 
     Z[q, v] is free over Z[m] on the monomials that m does not divide,
     so p splits into lines base * h(m) and g(m) divides p exactly when it
-    divides every h in Z[x].
+    divides every h in Z[x]: synthetic division from the top of a dense
+    list of h's coefficients, stopped at the first nonzero remainder.
     """
     a, b = step
     lines = {}
@@ -167,29 +168,34 @@ def _line_exquo(p, step, terms):
         base = (i - k * a, j - k * b)
         line = lines.get(base)
         if line is None:
-            lines[base] = {k: c}
+            lines[base] = [(k, c)]
         else:
-            line[k] = c
+            line.append((k, c))
     d, lc = terms[0]
-    rest = terms[1:]
+    # g's lower terms as (distance below its top, coefficient)
+    rest = [(d - k, c) for k, c in terms[1:]]
     out = {}
     for (bi, bj), line in lines.items():
-        top = max(line)
-        low = min(line)
-        if top - low < d:
+        line.sort()
+        low = line[0][0]
+        top = line[-1][0] - low
+        if top < d:
             return None
-        while top >= low + d:
-            c = line.pop(top, 0)
+        h = [0] * (top + 1)  # h[pos] is the coefficient of m^(low + pos)
+        for k, c in line:
+            h[k - low] = c
+        # the quotient's term at h[pos] lands on base * m^(low + pos - d)
+        qi, qj = bi + (low - d) * a, bj + (low - d) * b
+        for pos in range(top, d - 1, -1):
+            c = h[pos]
             if c:
                 quo, r = divmod(c, lc)
                 if r:
                     return None
-                e = top - d
-                out[(bi + e * a, bj + e * b)] = quo
-                for k, gk in rest:
-                    line[e + k] = line.get(e + k, 0) - quo * gk
-            top -= 1
-        if any(line.values()):
+                out[(qi + pos * a, qj + pos * b)] = quo
+                for off, gk in rest:
+                    h[pos - off] -= quo * gk
+        if any(h[:d]):
             return None
     return IntPoly2(RING, out)
 

@@ -278,6 +278,27 @@ class TestGoldenDigests:
                 "F --n 4 --mu 0,1,0,1 --format latex",
                 "75ac6c0f22693ac6bf2344566a9afd15a0566a43d4a9f963ee7152b114873e9b",
             ),
+            # n = 5, where the orbit walk of sum-rel branches
+            (
+                "P --n 5 --lam 3,2,1,0,0 --method sum-rel --format json",
+                "052a712c4e877b374f6578449de6b7e436a97a6247301d3865fa4d2923f5c34f",
+            ),
+            (
+                "P --n 5 --lam 3,2,1,0,0 --method symmetrize --format json",
+                "50239479b56cbb956be719d5c89ee26553900310dfa497c264cd6090d05b6088",
+            ),
+            (
+                "F --n 5 --mu 0,2,1,0,1 --format json",
+                "51c9771f8d5754dc8e1adb4d4f84757dfe4c8d390b19437c781e97a0b78c017f",
+            ),
+            (
+                "E --n 5 --mu 2,0,1,0,1 --z 3,1,5,2,4 --format json",
+                "ee681b632a536da256bb9e80a887d22a888d8ccd4d22d1bd073c594d57478297",
+            ),
+            (
+                "f --n 5 --mu 0,1,0,2,1 --format json",
+                "95ac9bfc9320d08f302c447b4aa0bc725287bcaa0c46581fc4e83fd1b62fe150",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

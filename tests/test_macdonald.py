@@ -17,6 +17,7 @@ from maclab.affine import box_greedy_word
 from maclab.errors import InvalidInputError
 from maclab.laurent import LaurentPoly
 from maclab.macdonald import (
+    _E_form,
     closed_column,
     closed_n2,
     closed_single_box,
@@ -582,6 +583,39 @@ class TestWalkOnNumerators:
     )
     def test_matches_field_walk(self, mu):
         assert compute_E(mu).poly == reference_walk(mu)
+
+
+class TestNumeratorForm:
+    """The consumers of E_mu run on its cached (S, N) form."""
+
+    @pytest.mark.parametrize(
+        "lam", [(2, 1, 0), (2, 2, 0), (3, 1, 1, 0), (2, 1, 1, 0, 0), (1, 1, 0, 0, 0)]
+    )
+    def test_sum_rel_is_the_sum_of_f(self, lam):
+        # compute_f runs the reduced word of z_nu, independent of the
+        # orbit walk that sum-rel takes
+        want = LaurentPoly.zero(len(lam))
+        for nu in fperm.weight_orbit(lam):
+            want = want + compute_f(nu).poly
+        assert compute_P(lam, "sum-rel").poly == want
+
+    @pytest.mark.parametrize("lam", [(1,), (2, 1, 0), (2, 1, 1, 0)])
+    def test_consumers_leave_the_cached_form(self, lam):
+        n = len(lam)
+        E = compute_E(lam).poly
+        terms = dict(E.terms)
+        S, N = _E_form(lam)
+        numerators = {e: dict(p) for e, p in N.items()}
+        compute_E_rel(lam, tuple(range(n, 0, -1)))
+        for nu in fperm.weight_orbit(lam):
+            compute_f(nu)
+        compute_F(lam)
+        compute_P(lam, "sum-rel")
+        compute_P(lam, "symmetrize")
+        assert _E_form(lam) == (S, N)
+        assert {e: dict(p) for e, p in N.items()} == numerators
+        assert compute_E(lam).poly.terms == terms
+        assert compute_E(lam).poly == reference_walk(lam)
 
 
 class TestRecursions:

@@ -16,7 +16,13 @@ from maclab.errors import (
     InvalidInputError,
     ZeroDenominatorError,
 )
-from maclab.macdonald import _compute_E_poly, compute_E, compute_E_rel, compute_P
+from maclab.macdonald import (
+    _compute_E_poly,
+    _E_form,
+    compute_E,
+    compute_E_rel,
+    compute_P,
+)
 from maclab.ratfunc import (
     QGEN,
     IntPoly2,
@@ -320,7 +326,9 @@ class TestNoGcd:
 
         monkeypatch.setattr(IntPoly2, "gcd", refuse)
         monkeypatch.setattr(IntPoly2, "cofactors", refuse)
-        # start cold, so nothing comes from results memoized earlier
+        # start cold, so nothing comes from results memoized earlier: the
+        # walk's (S, N) form and its join are cached apart
+        _E_form.cache_clear()
         _compute_E_poly.cache_clear()
         ratfunc._factor.cache_clear()
         try:
@@ -329,4 +337,48 @@ class TestNoGcd:
             assert len(compute_E_rel((2, 0, 0, 3), (4, 1, 2, 3)).poly.terms) > 0
             assert len(cst_expand((3, 1), 3).poly.terms) > 0
         finally:
+            _E_form.cache_clear()
             _compute_E_poly.cache_clear()
+
+
+class TestLineExquo:
+    """Division by a line factor g(q^a v^b) against sympy's `div`."""
+
+    LINES = [
+        1 - q * v**2,  # two-term lines
+        q**3 * v**2 - 1,
+        1 + v**2,
+        q**2 + q + 1,  # cyclotomic lines met on the workloads
+        v**2 - v + 1,
+        q**4 + q**3 + q**2 + q + 1,
+        2 * q * v - 3,  # leading coefficients other than 1
+        3 * q**2 * v**2 + q * v - 1,
+    ]
+
+    @staticmethod
+    def _sympy(p, g):
+        quo, rem = p.div(g)
+        return None if rem else quo
+
+    def _check(self, p, g):
+        step, terms = ratfunc._line_form(g)
+        assert step is not None
+        assert ratfunc._line_exquo(p, step, terms) == self._sympy(p, g)
+
+    @pytest.mark.parametrize("g", LINES, ids=str)
+    def test_products_and_non_multiples(self, g):
+        rng = random.Random(str(g))
+        for _ in range(25):
+            h = poly_from_terms(
+                {
+                    (rng.randrange(5), rng.randrange(7)): rng.randint(-4, 4)
+                    for _ in range(rng.randrange(1, 7))
+                }
+            )
+            if not h:
+                continue
+            self._check(g * h, g)  # a multiple
+            self._check(g * h + q ** rng.randrange(4) * v, g)  # off by a term
+            self._check(h, g)
+        self._check(g**3, g)
+        self._check(g**2 * (g + 1), g)
