@@ -151,6 +151,7 @@ def divided_difference_part(i: int, f: LaurentPoly) -> LaurentPoly:
     nonzero remainder means a bug, not bad input.
     """
     n = f.n
+    _check_index(i, n)
     si = fperm.simple(i, n)
     num = (LaurentPoly.x(i, n).scale(RF_T) - LaurentPoly.x(i + 1, n)) * (
         f - f.subst_perm(si)
@@ -161,6 +162,7 @@ def divided_difference_part(i: int, f: LaurentPoly) -> LaurentPoly:
 def lp_divexact_xdiff(f: LaurentPoly, i: int) -> LaurentPoly:
     """Exact division of f by (x_i - x_{i+1})."""
     n = f.n
+    _check_index(i, n)
     ia, ib = i - 1, i
     rem = dict(f.terms)
     quo = {}
@@ -376,12 +378,18 @@ def apply_X_omega(r: int, f: LaurentPoly, word_form: str = "A") -> LaurentPoly:
     """X^{omega_r} f = (g_vee)^r T_{w_r}^(-1) f.
 
     In the polynomial representation this is multiplication by
-    x_1 ... x_r.  word_form selects one of the two reduced words of w_r.
+    x_1 ... x_r.  word_form, "A" or "B", selects one of the two reduced
+    words of w_r.
     """
     n = f.n
     if not 1 <= r <= n:
         raise InvalidInputError(f"X^omega_{r} needs 1 <= r <= {n}")
-    word = _coset_word_A(r, n) if word_form == "A" else _coset_word_B(r, n)
+    if word_form == "A":
+        word = _coset_word_A(r, n)
+    elif word_form == "B":
+        word = _coset_word_B(r, n)
+    else:
+        raise InvalidInputError(f"word_form must be 'A' or 'B', not {word_form!r}")
     for i in reversed(word):
         f = apply_T_inv(i, f)
     for _ in range(r):

@@ -32,6 +32,8 @@ def identity(n):
 
 def simple(i, n):
     """The adjacent transposition s_i, 1 <= i <= n-1."""
+    if not 1 <= i <= n - 1:
+        raise InvalidInputError(f"s_{i} needs 1 <= i <= {n - 1}")
     w = list(range(1, n + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)

@@ -14,13 +14,15 @@ The denominator is kept factored, as a positive integer c times a
 product of irreducible primitive polynomials f^k with positive leading
 coefficient (q and v among them); `den` multiplies it out on demand.
 The Macdonald denominators are products of binomials 1 - q^a t^b, so
-their factors are few and come back again and again: sums and products
-cancel by trial division against the factors already known, never by a
-gcd.  Most factors are g(q^a v^b) for a univariate g, and dividing by
-one splits a polynomial into univariate lines over the monomial
-q^a v^b.  A new denominator (from `inverse`, `/` or the two-argument
-constructor) is factored once, by sympy's `factor_list` on whatever the
-known factors leave over, and the result is memoized.
+their factors are few and come back again and again.  One rule,
+`_cancel`, serves the constructor, `+`, `*` and the walk's common
+factors: trial division by the largest power of each known factor that
+divides all the polynomials at hand (q and v at their lowest exponent,
+in one step), then by their integer content; never a gcd.  Most factors
+are g(q^a v^b) for a univariate g, and dividing by one splits a
+polynomial into univariate lines over q^a v^b.  A new denominator (from
+`inverse`, `/` or the two-argument constructor) is factored once, by
+sympy's `factor_list` on what the known factors leave over.
 
 Polynomials are sympy sparse ring elements over ZZ.
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 
 from sympy import ZZ
 from sympy.polys.rings import ring
@@ -52,6 +55,8 @@ RING, QGEN, VGEN = ring("q,v", ZZ)
 
 _ZERO = RING.zero
 _ONE = RING.one
+
+_EXP = (itemgetter(0), itemgetter(1))  # a monomial's q and v exponents
 
 # IntPoly2 is a sympy PolyElement of RING; the alias documents intent.
 IntPoly2 = type(_ONE)
@@ -100,7 +105,7 @@ class _Factor:
 
     def __init__(self, poly):
         self.poly = poly
-        self.degs = _degs(poly)
+        self.degs = _degs([poly])
         self.step, self.terms = _line_form(poly)
 
     def fits(self, degs):
@@ -110,21 +115,19 @@ class _Factor:
 
     def exquo(self, p):
         """p / self when self divides p, else None."""
-        if len(self.poly) == 1:  # q or v
-            dq, dv = self.degs
-            if any(i < dq or j < dv for i, j in p):
-                return None
-            return IntPoly2(RING, {(i - dq, j - dv): c for (i, j), c in p.items()})
         if self.step is None:
             quo, rem = p.div(self.poly)
             return None if rem else IntPoly2(RING, quo)  # drops a stale hash
         return _line_exquo(p, self.step, self.terms)
 
 
-def _degs(p):
-    """(degree in q, degree in v) of a nonzero IntPoly2."""
-    qs, vs = zip(*p)
-    return max(qs), max(vs)
+def _degs(polys):
+    """The lowest (degree in q, degree in v) over the nonzero IntPoly2s
+    polys: a factor that does not fit them divides none of them."""
+    if len(polys) == 1:
+        p = polys[0]
+        return max(p)[0], max(map(_EXP[1], p))  # lex: max(p) has top q
+    return tuple(map(min, zip(*(_degs([p]) for p in polys))))
 
 
 def _line_form(p):
@@ -203,20 +206,73 @@ def _line_exquo(p, step, terms):
 # polynomial -> its _Factor; it keeps every factor met, a few dozen for the
 # Macdonald constructions
 _REGISTRY = {}
-_LINE_FACTORS = []  # the registered factors of the form g(q^a v^b)
 
 
 def _intern(poly):
     f = _REGISTRY.get(poly)
     if f is None:
         f = _REGISTRY[poly] = _Factor(poly)
-        if f.step is not None:
-            _LINE_FACTORS.append(f)
     return f
 
 
 _FQ = _intern(QGEN)
 _FV = _intern(VGEN)
+
+
+def _divide(f, polys, k):
+    """(j, quotients): each of the nonzero polys divided by f^j, where
+    j <= k is the largest power of f that divides all of them.  For q and
+    v, j is their lowest exponent, taken off in one step."""
+    if f is _FQ or f is _FV:
+        j = k
+        for p in polys:
+            j = min(j, min(map(_EXP[f is _FV], p)))
+            if not j:
+                return 0, polys
+        dq, dv = (0, j) if f is _FV else (j, 0)
+        return j, [
+            IntPoly2(RING, {(a - dq, b - dv): c for (a, b), c in p.items()})
+            for p in polys
+        ]
+    j = 0
+    while j < k:
+        quos = []
+        for p in polys:
+            quo = f.exquo(p)
+            if quo is None:
+                return j, polys
+            quos.append(quo)
+        polys = quos
+        j += 1
+    return j, polys
+
+
+def _cancel(polys, fac, c):
+    """Divide the nonzero polys by every factor of fac that divides all of
+    them, at most its multiplicity, then by the gcd of the positive int c
+    and their content: (quotients, what is left of fac, what is left of
+    c).  fac itself is never changed."""
+    left = fac
+    if fac:
+        lo = _degs(polys)
+    for f, k in fac.items():
+        if not f.fits(lo):
+            continue
+        j, polys = _divide(f, polys, k)
+        if j:
+            lo = (lo[0] - j * f.degs[0], lo[1] - j * f.degs[1])
+            if left is fac:
+                left = dict(fac)
+            if j == k:
+                del left[f]
+            else:
+                left[f] = k - j
+    if c > 1:
+        g = gcd(c, *(x for p in polys for x in p.values()))
+        if g > 1:
+            polys = [p.quo_ground(g) for p in polys]
+            c //= g
+    return polys, left, c
 
 
 @lru_cache(maxsize=4096)
@@ -226,24 +282,12 @@ def _factor(p):
     u is a nonzero int and fac maps irreducible factors to their
     multiplicity.  The result is shared: callers must not change fac.
     """
-    if len(p) == 1:
-        ((i, j), c), = p.items()
-        fac = {}
-        if i:
-            fac[_FQ] = i
-        if j:
-            fac[_FV] = j
-        return int(c), fac
-    fac = {}
-    degs = _degs(p)
-    for f in _LINE_FACTORS:
-        while f.fits(degs):
-            quo = f.exquo(p)
-            if quo is None:
-                break
-            p = quo
-            degs = _degs(p)
-            fac[f] = fac.get(f, 0) + 1
+    # every known line factor g(q^a v^b), as often as it divides: d copies
+    # are more than any nonconstant factor can divide
+    d = sum(_degs([p])) + 1
+    lines = (f for f in _REGISTRY.values() if f.step is not None)
+    (p,), left, _ = _cancel([p], dict.fromkeys(lines, d), 1)
+    fac = {f: d - k for f, k in left.items() if k < d}
     if len(p) == 1 and (0, 0) in p:
         return int(p[(0, 0)]), fac
     u, parts = p.factor_list()
@@ -255,42 +299,6 @@ def _factor(p):
         f = _intern(IntPoly2(RING, g))
         fac[f] = fac.get(f, 0) + k
     return u, fac
-
-
-def _cancel(p, fac):
-    """Divide p by each factor of fac as often as it divides, at most its
-    multiplicity; return the quotient and what is left of fac."""
-    if not fac:
-        return p, fac
-    left = None
-    degs = _degs(p)
-    for f, k in fac.items():
-        j = 0
-        while j < k and f.fits(degs):
-            quo = f.exquo(p)
-            if quo is None:
-                break
-            p = quo
-            degs = _degs(p)
-            j += 1
-        if j:
-            if left is None:
-                left = dict(fac)
-            if j == k:
-                del left[f]
-            else:
-                left[f] = k - j
-    return p, (fac if left is None else left)
-
-
-def _cancel_int(p, c):
-    """Divide p and the positive int c by the gcd of c and p's content."""
-    g = c
-    for x in p.values():
-        g = gcd(g, x)
-        if g == 1:
-            return p, c
-    return p.quo_ground(g), c // g
 
 
 def _make(num, c, fac, den=None):
@@ -322,10 +330,10 @@ class RatFunc:
             u, fac = _factor(den)
             # a fresh copy: a caller's polynomial may carry a stale cached
             # hash (sympy's div leaves one on its quotient)
-            num, fac = _cancel(IntPoly2(RING, num), fac)
+            num = IntPoly2(RING, num)
             if u < 0:
                 num, u = -num, -u
-            num, u = _cancel_int(num, u)
+            (num,), fac, u = _cancel([num], fac, u)
         self.num = num
         self._c = u
         self._fac = fac
@@ -403,52 +411,23 @@ class RatFunc:
         if not b:
             return self
         fa, fb = self._fac, other._fac
-        ca, cb = self._c, other._c
-        if ca == cb and fa == fb:
+        if self._c == other._c and fa == fb:
             s = a + b
             if not s:
                 return _RF_ZERO
-            s, fac = _cancel(s, fa)
-            c = ca
-            if c > 1:
-                s, c = _cancel_int(s, c)
+            (s,), fac, c = _cancel([s], fa, self._c)
             return _make(s, c, fac)
         # over the lcm of the denominators; a factor can divide the sum only
         # when both sides carry it equally often
-        fac = dict(fa)
-        lift_a = lift_b = _ONE
-        shared = {}
-        for f, k in fb.items():
-            ka = fa.get(f, 0)
-            if ka < k:
-                lift_a = lift_a * f.poly ** (k - ka)
-                fac[f] = k
-            elif ka > k:
-                lift_b = lift_b * f.poly ** (ka - k)
-            else:
-                shared[f] = k
-        for f, k in fa.items():
-            if f not in fb:
-                lift_b = lift_b * f.poly**k
-        c = ca * cb // gcd(ca, cb)
-        if c != ca:
-            lift_a = lift_a * (c // ca)
-        if c != cb:
-            lift_b = lift_b * (c // cb)
-        s = a * lift_a + b * lift_b
+        S, (a, b) = _lift((self, other))
+        s = a + b
         if not s:
             return _RF_ZERO
-        if shared:
-            s, left = _cancel(s, shared)
-            if left is not shared:
-                for f in shared:
-                    k = left.get(f)
-                    if k is None:
-                        del fac[f]
-                    else:
-                        fac[f] = k
-        if c > 1:
-            s, c = _cancel_int(s, c)
+        shared = {f: k for f, k in fa.items() if fb.get(f) == k}
+        (s,), left, c = _cancel([s], shared, S._c)
+        fac = S._fac
+        if left is not shared:
+            fac = {f: k for f, k in fac.items() if f not in shared} | left
         return _make(s, c, fac)
 
     def __neg__(self):
@@ -463,19 +442,12 @@ class RatFunc:
             return _RF_ZERO
         fa, fb = self._fac, other._fac
         ca, cb = self._c, other._c
-        if fb:
-            a, fb = _cancel(a, fb)
-        if fa:
-            b, fa = _cancel(b, fa)
-        if cb > 1:
-            a, cb = _cancel_int(a, cb)
-        if ca > 1:
-            b, ca = _cancel_int(b, ca)
-        if not fa:
-            fac = fb
-        elif not fb:
-            fac = fa
-        else:
+        if fb or cb > 1:
+            (a,), fb, cb = _cancel([a], fb, cb)
+        if fa or ca > 1:
+            (b,), fa, ca = _cancel([b], fa, ca)
+        fac = fa or fb
+        if fa and fb:
             fac = dict(fa)
             for f, k in fb.items():
                 fac[f] = fac.get(f, 0) + k
@@ -605,38 +577,11 @@ def _lift(cs):
     return _make(_ONE, c, fac), nums
 
 
-def _exquo_all(f, polys):
-    """[p / f for p in polys], or None when f does not divide one of them."""
-    quos = []
-    for p in polys:
-        quo = f.exquo(p) if f.fits(_degs(p)) else None
-        if quo is None:
-            return None
-        quos.append(quo)
-    return quos
-
-
 def _cancel_common(s, polys):
     """Divide the nonzero IntPoly2 polys by every factor of s's denominator
     that divides all of them, and move it into s: (s', polys') with
     s' * p' = s * p for each p."""
-    c, fac = s._c, dict(s._fac)
-    if c > 1:
-        g = gcd(c, *(x for p in polys for x in p.values()))
-        if g > 1:
-            polys = [p.quo_ground(g) for p in polys]
-            c //= g
-    for f, k in s._fac.items():
-        while k:
-            quos = _exquo_all(f, polys)
-            if quos is None:
-                break
-            polys = quos
-            k -= 1
-        if k:
-            fac[f] = k
-        else:
-            del fac[f]
+    polys, fac, c = _cancel(polys, s._fac, s._c)
     return _make(s.num, c, fac), polys
 
 

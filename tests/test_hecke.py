@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import Q, T, laurent_polys, random_laurent
 from maclab import permutations as fperm
-from maclab.errors import InvariantViolation
+from maclab.errors import InvalidInputError, InvariantViolation
 from maclab.hecke import (
     _join,
     _split,
@@ -25,6 +25,7 @@ from maclab.hecke import (
     apply_X_omega,
     apply_Y,
     apply_Y_inv,
+    divided_difference_part,
     hecke_symmetrize_sum,
     lp_divexact_xdiff,
     poincare_poly,
@@ -83,6 +84,19 @@ class TestDemazureLusztig:
     def test_exact_division_guard(self):
         with pytest.raises(InvariantViolation):
             lp_divexact_xdiff(x1 + x2, 1)
+
+    @pytest.mark.parametrize("i", [-1, 0, 3])
+    def test_reference_route_rejects_missing_index(self, i):
+        # s_i, x_i - x_{i+1} and T_i exist only for 1 <= i <= n - 1
+        f = x1 + x2 * x3
+        with pytest.raises(InvalidInputError):
+            fperm.simple(i, 3)
+        with pytest.raises(InvalidInputError):
+            lp_divexact_xdiff(x3 - x1, i)
+        with pytest.raises(InvalidInputError):
+            divided_difference_part(i, f)
+        with pytest.raises(InvalidInputError):
+            apply_T_reference(i, f)
 
     def test_laurent_monomials(self):
         # the operators live on the full Laurent ring
@@ -293,6 +307,11 @@ class TestXOmega:
                     f = random_laurent(rng, n)
                     assert apply_X_omega(r, f, "A") == xs * f
                     assert apply_X_omega(r, f, "B") == xs * f
+
+    @pytest.mark.parametrize("word_form", ["Z", "a", ""])
+    def test_unknown_word_form_rejected(self, word_form):
+        with pytest.raises(InvalidInputError):
+            apply_X_omega(2, x1 + x3, word_form)
 
     def test_top_case_is_gvee_power(self):
         rng = random.Random(73)

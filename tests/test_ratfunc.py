@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import frac, random_ratfunc
@@ -382,3 +383,109 @@ class TestLineExquo:
             self._check(h, g)
         self._check(g**3, g)
         self._check(g**2 * (g + 1), g)
+
+
+class TestCancel:
+    """`_cancel`, the one trial-division rule behind the constructor, +, *,
+    factoring and the walk's common cancellation."""
+
+    # q, v, two line factors g(q^a v^b) (1 - q v^2 and Phi_3(q v), with
+    # positive leading coefficient) and one factor that is not a line
+    FACTORS = [q, v, q * v**2 - 1, q**2 * v**2 + q * v + 1, q - v**2]
+    COFACTORS = [one, q + v + 1, 2 * q + 3, v**3 + 2]
+
+    _mults = st.lists(st.integers(0, 3), min_size=5, max_size=5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _mults,
+        st.integers(1, 12),
+        st.lists(
+            st.tuples(
+                st.integers(-6, 6).filter(bool),
+                _mults,
+                st.sampled_from(COFACTORS),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    # integer content only, and every kind of factor at once
+    @example([0] * 5, 4, [(6, [0] * 5, one), (-2, [0] * 5, q + v + 1)])
+    @example([3, 2, 2, 1, 1], 6, [(3, [3, 1, 1, 2, 1], 2 * q + 3)])
+    def test_quotients_times_removed_part_give_inputs(self, mults, c, specs):
+        fs = [ratfunc._intern(g) for g in self.FACTORS]
+        fac = {f: k for f, k in zip(fs, mults) if k}
+        before = dict(fac)
+        polys = []
+        for content, exps, cofactor in specs:
+            p = cofactor * content
+            for g, e in zip(self.FACTORS, exps):
+                p = p * g**e
+            polys.append(p)
+        quos, left, rest = ratfunc._cancel(polys, fac, c)
+        assert fac == before
+        assert c % rest == 0
+        removed = RING.ground_new(c // rest)
+        for f, k in fac.items():
+            assert 0 <= left.get(f, 0) <= k
+            removed = removed * f.poly ** (k - left.get(f, 0))
+        assert set(left) <= set(fac)
+        assert [r * removed for r in quos] == polys
+        # nothing left divides all the quotients; sympy's division by one
+        # polynomial is the oracle
+        for f in left:
+            assert any(r.rem(f.poly) for r in quos)
+        assert gcd(rest, *(int(x) for r in quos for x in r.values())) == 1
+
+    def test_q_and_v_come_off_in_one_step(self, monkeypatch):
+        exquo = ratfunc._Factor.exquo
+
+        def one_copy_refused(f, p):
+            if f.poly in (q, v):
+                raise AssertionError("q or v divided off one copy at a time")
+            return exquo(f, p)
+
+        monkeypatch.setattr(ratfunc._Factor, "exquo", one_copy_refused)
+        fq, fv = ratfunc._intern(q), ratfunc._intern(v)
+        assert ratfunc._divide(fq, [q**5 * v + q**3, q**4 * v**2], 10) == (
+            3,
+            [q**2 * v + 1, q * v**2],
+        )
+        assert ratfunc._divide(fv, [q * v**4 + v**6], 2) == (2, [q * v**2 + v**4])
+        assert ratfunc._divide(fv, [q * v**4 + q], 5) == (0, [q * v**4 + q])
+        x = RatFunc(q**3 * v**5 * (1 + q), one) * RatFunc(
+            one, q**4 * v**2 * (1 - q * v**2)
+        )
+        assert x == RatFunc(v**3 * (1 + q), q - q**2 * v**2)
+        assert x.eval(2, 3) == Fraction(27 * 3, 2 * (1 - 18))
+
+    @staticmethod
+    def _check_sum(a, b, s):
+        for q0, v0 in ((2, 3), (Fraction(1, 2), 5), (-3, Fraction(2, 7))):
+            assert s.eval(q0, v0) == a.eval(q0, v0) + b.eval(q0, v0)
+
+    def test_add_cancels_a_factor_carried_equally_often(self):
+        g, k = 1 - q * v**2, 1 - v**2
+        fg = ratfunc._intern(-g)
+        # equal denominators: (1 - q v^2) / g^2 = 1 / g
+        a, b = RatFunc(one, g**2), RatFunc(-q * v**2, g**2)
+        s = a + b
+        assert s == RatFunc(one, g) and s._fac[fg] == 1
+        self._check_sum(a, b, s)
+        # unequal denominators, g once on each side: the numerator of the
+        # sum is g (1 + q), so g cancels
+        a, b = RatFunc(one, g), RatFunc(v**2 - 1 + g * (1 + q), g * k)
+        s = a + b
+        assert s == RatFunc(1 + q, k) and fg not in s._fac
+        self._check_sum(a, b, s)
+
+    def test_add_keeps_a_factor_carried_unequally_often(self):
+        # g^2 on one side and g on the other: g cannot divide the sum's
+        # numerator, so the sum keeps g^2
+        g, k = 1 - q * v**2, 1 - v**2
+        a, b = RatFunc(1 + q, g**2), RatFunc(v, g * k)
+        s = a + b
+        assert s == RatFunc((1 + q) * k + v * g, g**2 * k)
+        assert s._fac[ratfunc._intern(-g)] == 2
+        self._check_sum(a, b, s)
