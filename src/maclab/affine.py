@@ -125,15 +125,6 @@ class PeriodicPerm:
         """Finite part v of self = t_mu v (one-line notation)."""
         return tuple((x - 1) % self.n + 1 for x in self.window)
 
-    def translation_part(self) -> tuple:
-        """mu of self = t_mu v, indexed so window(i) = v(i) + n*mu_{v(i)}."""
-        n = self.n
-        mu = [0] * n
-        for x in self.window:
-            r = (x - 1) % n
-            mu[r] = (x - 1 - r) // n
-        return tuple(mu)
-
     def inversions(self):
         """Affine roots for pairs (a, b), 1 <= a <= n, a < b, w(a) > w(b)."""
         n = self.n

@@ -8,10 +8,13 @@ cylindrical coordinates intersected with the extended diagram.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
+from types import MappingProxyType
 
 from . import permutations as fperm
 from .affine import AffineRoot, PeriodicPerm, box_greedy_word, boxes_of, u_stat
@@ -26,65 +29,52 @@ from .ratfunc import RF_ONE, RF_T, RatFunc, one_minus
 
 @dataclass(frozen=True)
 class Diagram:
-    """dg(mu): the boxes (i, j), 1 <= j <= mu_i, with their coordinates."""
+    """dg(mu): the boxes (i, j), 1 <= j <= mu_i, in cylindrical order, with
+    their coordinates and per-box statistics.
+
+    attack[b] are the boxes (basement included) at the n - 1 coordinates
+    before b; arm[b] are the attackers whose Nleg is no longer than b's
+    (a basement box (i', 0) counts mu_i'); nleg[b] = mu_i - j,
+    narm[b] = #arm[b] and u[b] = u_mu(b).  `Diagram.of(mu)` builds each
+    weight once.
+    """
 
     mu: tuple
     boxes: tuple
-    coordinate: dict  # box -> i + n*j
+    coordinate: Mapping  # box -> i + n*j
+    index: Mapping  # box -> its position in boxes
+    attack: Mapping
+    arm: Mapping
+    nleg: Mapping
+    narm: Mapping
+    u: Mapping
 
     @staticmethod
     def of(mu) -> "Diagram":
-        mu = check_weight(mu, nonneg=True)
-        n = len(mu)
-        boxes = tuple(boxes_of(mu))
-        return Diagram(mu, boxes, {(i, j): i + n * j for (i, j) in boxes})
+        return _diagram(check_weight(mu, nonneg=True))
 
 
-def in_extended(mu, i, j):
-    """Membership in the extended diagram (basement column included)."""
-    return 1 <= i <= len(mu) and (j == 0 or 1 <= j <= mu[i - 1])
-
-
-def _coord_box(n, c):
-    i = (c - 1) % n + 1
-    return i, (c - i) // n
-
-
-def attack_set(mu, i, j):
-    """Attack set of box (i, j), as boxes, basement included."""
+@lru_cache(maxsize=1024)
+def _diagram(mu) -> Diagram:
     n = len(mu)
-    b = i + n * j
-    out = []
-    for c in range(b - n + 1, b):
-        if c < 1:
-            continue
-        i2, j2 = _coord_box(n, c)
-        if in_extended(mu, i2, j2):
-            out.append((i2, j2))
-    return out
-
-
-def nleg_set(mu, i, j):
-    """Boxes of dg(mu) at coordinates b + n, b + 2n, ... (same row, right)."""
-    return [(i, j2) for j2 in range(j + 1, mu[i - 1] + 1)]
-
-
-def narm_set(mu, i, j):
-    """Attackers whose Nleg is no longer than that of (i, j)."""
-    mine = len(nleg_set(mu, i, j))
-    out = []
-    for (i2, j2) in attack_set(mu, i, j):
-        if j2 == 0:
-            other = mu[i2 - 1]
-        else:
-            other = len(nleg_set(mu, i2, j2))
-        if other <= mine:
-            out.append((i2, j2))
-    return out
-
-
-def nleg_count_formula(mu, i, j):
-    return mu[i - 1] - j
+    boxes = tuple(boxes_of(mu))
+    coordinate = {(i, j): i + n * j for (i, j) in boxes}
+    attack, arm, nleg, narm, u = {}, {}, {}, {}, {}
+    for (i, j), b in coordinate.items():
+        window = range(max(b - n + 1, 1), b)
+        cells = (((c - 1) % n + 1, (c - 1) // n) for c in window)
+        attack[i, j] = tuple((r, col) for r, col in cells if col <= mu[r - 1])
+        leg = nleg[i, j] = mu[i - 1] - j
+        # the Nleg of (r, col) is mu_r - col, the basement's included
+        arm[i, j] = tuple(w for w in attack[i, j] if mu[w[0] - 1] - w[1] <= leg)
+        narm[i, j] = len(arm[i, j])
+        if narm[i, j] != narm_count_formula(mu, i, j):
+            raise InvariantViolation("narm set/formula mismatch")
+        u[i, j] = u_stat(mu, i, j)
+    index = {box: k for k, box in enumerate(boxes)}
+    # one Diagram per weight serves every caller, so none may change it
+    maps = (coordinate, index, attack, arm, nleg, narm, u)
+    return Diagram(mu, boxes, *map(MappingProxyType, maps))
 
 
 def narm_count_formula(mu, i, j):
@@ -103,29 +93,9 @@ def narm_count_formula(mu, i, j):
     return first + second
 
 
-@dataclass(frozen=True)
-class BoxStats:
-    mu: tuple
-    attack: dict
-    nleg: dict
-    narm: dict
-    u: dict
-
-
-def box_stats(mu) -> BoxStats:
-    """All per-box statistics; set and closed-form counts must agree."""
-    mu = check_weight(mu, nonneg=True)
-    attack, nleg, narm, u = {}, {}, {}, {}
-    for (i, j) in boxes_of(mu):
-        attack[i, j] = attack_set(mu, i, j)
-        nleg[i, j] = len(nleg_set(mu, i, j))
-        narm[i, j] = len(narm_set(mu, i, j))
-        if nleg[i, j] != nleg_count_formula(mu, i, j):
-            raise InvariantViolation("nleg set/formula mismatch")
-        if narm[i, j] != narm_count_formula(mu, i, j):
-            raise InvariantViolation("narm set/formula mismatch")
-        u[i, j] = u_stat(mu, i, j)
-    return BoxStats(mu, attack, nleg, narm, u)
+def box_stats(mu) -> Diagram:
+    """All per-box statistics of dg(mu): its `Diagram`."""
+    return Diagram.of(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +179,10 @@ class Filling:
     def value(self, i, j):
         if j == 0:
             return self.z[i - 1]
-        return self.values[boxes_of(self.mu).index((i, j))]
+        return self.values[Diagram.of(self.mu).index[i, j]]
 
     def as_dict(self):
-        return dict(zip(boxes_of(self.mu), self.values))
+        return dict(zip(Diagram.of(self.mu).boxes, self.values))
 
     def to_json_obj(self):
         return {
@@ -220,7 +190,7 @@ class Filling:
             "z": list(self.z),
             "boxes": [
                 {"i": i, "j": j, "v": v}
-                for (i, j), v in zip(boxes_of(self.mu), self.values)
+                for (i, j), v in zip(Diagram.of(self.mu).boxes, self.values)
             ],
         }
 
@@ -237,13 +207,12 @@ def _qt_run_excluded(mu, z, fill, i, j):
 
 def enumerate_fillings(mu, z, kind: str = "nonattacking"):
     """All fillings in cylindrical box order, values chosen ascending."""
-    mu = check_weight(mu, nonneg=True)
+    d = Diagram.of(mu)
+    mu, boxes = d.mu, d.boxes
     n = len(mu)
     z = fperm.check_perm(z, n)
     if kind not in ("nonattacking", "queue"):
         raise InvalidInputError(f"unknown filling kind {kind!r}")
-    boxes = boxes_of(mu)
-    attacks = {b: attack_set(mu, *b) for b in boxes}
     out = []
     fill = {}
 
@@ -255,7 +224,7 @@ def enumerate_fillings(mu, z, kind: str = "nonattacking"):
             return
         i, j = boxes[k]
         banned = set()
-        for (i2, j2) in attacks[i, j]:
+        for (i2, j2) in d.attack[i, j]:
             banned.add(z[i2 - 1] if j2 == 0 else fill[i2, j2])
         if kind == "queue":
             banned |= _qt_run_excluded(mu, z, fill, i, j)
@@ -301,8 +270,8 @@ def pipedream_convert(T: Filling):
 
 
 def pipedream_invert(P, mu, z) -> Filling:
-    mu = check_weight(mu, nonneg=True)
-    n = len(mu)
+    d = Diagram.of(mu)
+    n = len(d.mu)
     z = fperm.check_perm(z, n)
     fill = {}
     for k in range(1, n + 1):
@@ -311,10 +280,10 @@ def pipedream_invert(P, mu, z) -> Filling:
             if i:
                 fill[i, j] = k
     try:
-        values = tuple(fill[b] for b in boxes_of(mu))
+        values = tuple(fill[b] for b in d.boxes)
     except KeyError as e:
         raise InvalidInputError(f"pipe dream misses box {e}") from None
-    return Filling(mu, z, values)
+    return Filling(d.mu, z, values)
 
 
 # ---------------------------------------------------------------------------
@@ -536,25 +505,12 @@ def column_strict_tableaux(lam, n):
                 return
             yield ((0,) * len(lam),)
             return
-        for prev in _substrips(shape):
+        # every mu with shape/mu a horizontal strip: shape_(i+1) <= mu_i <=
+        # shape_i, which also makes mu weakly decreasing
+        ranges = (range(lo, hi + 1) for lo, hi in zip(shape[1:] + (0,), shape))
+        for prev in product(*ranges):
             for chain in chains(prev, steps - 1):
                 yield chain + (shape,)
-
-    def _substrips(shape):
-        # all partitions mu with shape/mu a horizontal strip:
-        # shape_{i+1} <= mu_i <= shape_i, mu weakly decreasing
-        padded = list(shape) + [0]
-
-        def rec(i, acc):
-            if i == len(shape):
-                yield tuple(acc)
-                return
-            for v in range(padded[i + 1], shape[i] + 1):
-                if acc and v > acc[-1]:
-                    continue
-                yield from rec(i + 1, acc + [v])
-
-        yield from rec(0, [])
 
     return list(chains(lam, n))
 
@@ -597,20 +553,18 @@ def filling_weight(T: Filling) -> RatFunc:
 
       (1-t) / (1 - q^(nleg+1) t^(narm+1)) * q^(nleg+1 if T(u) > L) * t^k
 
-    where nleg = mu_i - j, narm = #narm_set(mu, i, j) and k counts the
-    boxes w of narm_set(mu, i, j) with (L, T(u), T(w)) cyclically
-    increasing.
+    with nleg, narm and the arm set of `Diagram`; k counts the boxes w of
+    the arm set of u with (L, T(u), T(w)) cyclically increasing.
     """
-    mu = T.mu
+    d = Diagram.of(T.mu)
     out = RF_ONE
-    for (i, j), a in zip(boxes_of(mu), T.values):
+    for (i, j), a in zip(d.boxes, T.values):
         left = T.value(i, j - 1)
         if a == left:
             continue
-        arm = narm_set(mu, i, j)
-        leg = mu[i - 1] - j + 1
-        k = sum(1 for w in arm if _cyclic(left, a, T.value(*w)))
-        den = one_minus(RatFunc.qt_monomial(leg, len(arm) + 1))
+        leg = d.nleg[i, j] + 1
+        k = sum(1 for w in d.arm[i, j] if _cyclic(left, a, T.value(*w)))
+        den = one_minus(RatFunc.qt_monomial(leg, d.narm[i, j] + 1))
         out = out * one_minus(RF_T) / den
         out = out * RatFunc.qt_monomial(leg if a > left else 0, k)
     return out

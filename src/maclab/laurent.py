@@ -129,14 +129,12 @@ class LaurentPoly:
             self.n, {e: x * c for e, x in self.terms.items()}, _clean=True
         )
 
-    def mul_monomial(self, shift, coeff: RatFunc = RF_ONE) -> "LaurentPoly":
-        """Multiply by coeff * x^shift."""
+    def mul_monomial(self, shift) -> "LaurentPoly":
+        """Multiply by x^shift."""
         shift = tuple(shift)
-        out = {}
-        for e, c in self.terms.items():
-            c2 = c * coeff
-            if not c2.is_zero():
-                out[tuple(a + b for a, b in zip(e, shift))] = c2
+        out = {
+            tuple(a + b for a, b in zip(e, shift)): c for e, c in self.terms.items()
+        }
         return LaurentPoly(self.n, out, _clean=True)
 
     def is_zero(self) -> bool:

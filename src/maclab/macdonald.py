@@ -439,9 +439,11 @@ class CheckLine:
     detail: str = ""
 
 
-def _diff_detail(got: LaurentPoly, want: LaurentPoly) -> str:
-    d = got - want
-    return "" if d.is_zero() else f"difference {d.to_string()}"
+def _check(name: str, got: LaurentPoly, want: LaurentPoly) -> CheckLine:
+    """got == want, with their difference as the detail when they differ."""
+    if got == want:
+        return CheckLine(name, True)
+    return CheckLine(name, False, f"difference {(got - want).to_string()}")
 
 
 def verify_eigen(mu) -> list:
@@ -452,9 +454,7 @@ def verify_eigen(mu) -> list:
     for i in range(1, len(mu) + 1):
         got = hecke.apply_Y(i, E)
         want = E.scale(eigenvalue(mu, i))
-        out.append(
-            CheckLine(f"Y_{i} E_{mu}", got == want, _diff_detail(got, want))
-        )
+        out.append(_check(f"Y_{i} E_{mu}", got, want))
     return out
 
 
@@ -480,34 +480,26 @@ def verify_haction(mu, i: int) -> list:
     out = []
     yy = hecke.apply_Y_inv(i, hecke.apply_Y(i + 1, E))
     want = E.scale(ed.a_mu)
-    out.append(CheckLine(f"Y_{i}^-1 Y_{i + 1} E_{mu}", yy == want, _diff_detail(yy, want)))
+    out.append(_check(f"Y_{i}^-1 Y_{i + 1} E_{mu}", yy, want))
     tTE = hecke.apply_tT(i, E)
     if mu[i - 1] == mu[i]:
         tau = tTE + E.scale(one_minus(RF_T) / one_minus(ed.a_mu))
         out.append(CheckLine(f"t^1/2 tau_{i} E_{mu} = 0", tau.is_zero()))
         want = E.scale(RF_T)
-        out.append(CheckLine(f"t^1/2 T_{i} E_{mu} = t E", tTE == want, _diff_detail(tTE, want)))
+        out.append(_check(f"t^1/2 T_{i} E_{mu} = t E", tTE, want))
         return out
     smu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
     Es = _compute_E_poly(smu)
     want = E.scale(-(one_minus(RF_T) / one_minus(ed.a_mu))) + Es
-    out.append(
-        CheckLine(f"t^1/2 T_{i} E_{mu}", tTE == want, _diff_detail(tTE, want))
-    )
+    out.append(_check(f"t^1/2 T_{i} E_{mu}", tTE, want))
     tTEs = hecke.apply_tT(i, Es)
     want = E.scale(ed.d_mu) - Es.scale(one_minus(RF_T) / one_minus(ed.a_simu))
-    out.append(
-        CheckLine(f"t^1/2 T_{i} E_{smu}", tTEs == want, _diff_detail(tTEs, want))
-    )
+    out.append(_check(f"t^1/2 T_{i} E_{smu}", tTEs, want))
     tau = tTE + E.scale(one_minus(RF_T) / one_minus(ed.a_mu))
-    out.append(
-        CheckLine(f"t^1/2 tau_{i} E_{mu} = E_{smu}", tau == Es, _diff_detail(tau, Es))
-    )
+    out.append(_check(f"t^1/2 tau_{i} E_{mu} = E_{smu}", tau, Es))
     taus = tTEs + Es.scale(one_minus(RF_T) / one_minus(ed.a_simu))
     want = E.scale(ed.d_mu)
-    out.append(
-        CheckLine(f"t^1/2 tau_{i} E_{smu} = D E_{mu}", taus == want, _diff_detail(taus, want))
-    )
+    out.append(_check(f"t^1/2 tau_{i} E_{smu} = D E_{mu}", taus, want))
     return out
 
 
@@ -538,13 +530,9 @@ def verify_kz(lam) -> list:
             else:
                 want = fs[snu].scale(RF_T) + fs[nu].scale(RF_T - RF_ONE)
                 name = f"t^1/2 T_{i} f_{nu} (ascent case)"
-            out.append(CheckLine(name, got == want, _diff_detail(got, want)))
+            out.append(_check(name, got, want))
         got = hecke.apply_g(fs[nu])
         cyc = (nu[-1],) + nu[:-1]
         want = fs[cyc].scale(RatFunc.q_power(-nu[-1]))
-        out.append(
-            CheckLine(
-                f"g f_{nu} = q^-{nu[-1]} f_{cyc}", got == want, _diff_detail(got, want)
-            )
-        )
+        out.append(_check(f"g f_{nu} = q^-{nu[-1]} f_{cyc}", got, want))
     return out

@@ -374,12 +374,12 @@ class RatFunc:
         return RatFunc.v_power(2 * k)
 
     @staticmethod
-    def qt_monomial(qexp: int, texp: int, coef: int = 1) -> "RatFunc":
-        """coef * q^qexp * t^texp with integer exponents of either sign."""
-        r = RatFunc.q_power(qexp) * RatFunc.v_power(2 * texp)
-        if coef != 1:
-            r = r * RatFunc.from_int(coef)
-        return r
+    def qt_monomial(qexp: int, texp: int) -> "RatFunc":
+        """q^qexp * t^texp with integer exponents of either sign."""
+        vexp = 2 * texp
+        num = IntPoly2(RING, {(max(qexp, 0), max(vexp, 0)): 1})
+        fac = {f: -k for f, k in ((_FQ, qexp), (_FV, vexp)) if k < 0}
+        return _make(num, 1, fac, None if fac else _ONE)
 
     # -- predicates -----------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,25 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def readme_commands():
+    """The `maclab ...` lines of the README's "Command line" block, as argv."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        line.split("#", 1)[0].split()[1:]
+        for line in block.splitlines()
+        if line.startswith("maclab ")
+    ]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_line(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    assert out
 
 
 class TestCompute:

@@ -10,6 +10,7 @@ from conftest import Q, T, compositions, frac, partitions_in
 from maclab import diagrams, macdonald
 from maclab import permutations as fperm
 from maclab.diagrams import (
+    Diagram,
     Filling,
     box_stats,
     boxes_of,
@@ -54,8 +55,6 @@ def _filling_sum(mu, z):
 
 class TestBoxStats:
     def test_diagram_type(self):
-        from maclab.diagrams import Diagram
-
         d = Diagram.of((2, 0, 1))
         assert d.boxes == ((1, 1), (3, 1), (1, 2))
         assert d.coordinate[(1, 2)] == 7
@@ -103,6 +102,54 @@ class TestBoxStats:
             bs = box_stats(mu)
             for b in boxes_of(mu):
                 assert bs.u[b] + 1 == n - len(bs.attack[b])
+
+
+    def test_statistics_match_the_window_rule(self):
+        # restated on the extended diagram: b's attackers sit at the n - 1
+        # coordinates before b; its arm are the attackers w whose row has no
+        # more boxes right of w than b's has right of b
+        rng = random.Random(12)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            mu = tuple(rng.randint(0, 4) for _ in range(n))
+            d = Diagram.of(mu)
+            assert Diagram.of(list(mu)) is d
+            ext = [(i, j) for i in range(1, n + 1) for j in range(mu[i - 1] + 1)]
+            coord = {(i, j): i + n * j for (i, j) in ext}
+            boxes = sorted((b for b in ext if b[1]), key=coord.get)
+            assert d.boxes == tuple(boxes)
+            assert d.coordinate == {b: coord[b] for b in boxes}
+            assert [d.index[b] for b in boxes] == list(range(len(boxes)))
+
+            def right(w):
+                return sum(1 for (i, j) in ext if i == w[0] and j > w[1])
+
+            for b in boxes:
+                attack = sorted(
+                    (w for w in ext if coord[b] - n < coord[w] < coord[b]),
+                    key=coord.get,
+                )
+                arm = [w for w in attack if right(w) <= right(b)]
+                assert list(d.attack[b]) == attack
+                assert list(d.arm[b]) == arm
+                assert d.nleg[b] == right(b)
+                assert d.narm[b] == len(arm)
+
+    def test_diagram_serves_fillings_once_built(self, monkeypatch):
+        # weights, values and the pipe-dream round trip read the built
+        # Diagram and never list the boxes again
+        mu, z = (2, 0, 1), (2, 3, 1)
+        fillings = enumerate_fillings(mu, z)
+        weights = [filling_weight(T) for T in fillings]
+
+        def listed(mu):
+            raise AssertionError(f"boxes_of({mu}) called again")
+
+        monkeypatch.setattr(diagrams, "boxes_of", listed)
+        assert [filling_weight(T) for T in fillings] == weights
+        for T in fillings:
+            assert T.value(1, 2) == T.values[2]
+            assert pipedream_invert(pipedream_convert(T), mu, z) == T
 
 
 class TestCounts:
@@ -394,6 +441,32 @@ class TestPsiAndCST:
         assert len(seen) == len(set(seen)) == len(strips) < len(chains) * n
         assert set(seen) == strips
         assert got == compute_P(lam).poly
+
+    @pytest.mark.parametrize("lam,n", [((2, 1), 3), ((3, 1, 1), 4), ((2, 2), 3)])
+    def test_tableaux_are_the_strip_chains_in_order(self, lam, n):
+        # brute force over every chain of partitions inside lam: each step
+        # adds boxes in distinct columns, and the chains come in
+        # lexicographic order of (lam^(n-1), ..., lam^(1))
+        def cells(p):
+            return {(i, j) for i, part in enumerate(p) for j in range(part)}
+
+        def strip(big, small):
+            added = cells(big) - cells(small)
+            columns = {j for _, j in added}
+            return cells(small) <= cells(big) and len(added) == len(columns)
+
+        inside = [
+            p
+            for p in itertools.product(*(range(x + 1) for x in lam))
+            if list(p) == sorted(p, reverse=True)
+        ]
+        empty = (0,) * len(lam)
+        want = []
+        for middle in itertools.product(inside, repeat=n - 1):
+            chain = (empty,) + middle[::-1] + (lam,)
+            if all(strip(chain[k], chain[k - 1]) for k in range(1, n + 1)):
+                want.append(chain)
+        assert column_strict_tableaux(lam, n) == want
 
     def test_cst_matches_P(self):
         for n in (3, 4):

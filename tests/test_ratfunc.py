@@ -137,6 +137,22 @@ class TestArith:
         assert a**-2 == RF_ONE / (a * a)
 
 
+    def test_qt_monomial_is_built_directly(self, monkeypatch):
+        want = {
+            (a, b): RatFunc.q_power(a) * RatFunc.t_power(b)
+            for a in range(-2, 3)
+            for b in range(-2, 3)
+        }
+
+        def cancel(*args):
+            raise AssertionError("qt_monomial cancelled a fraction")
+
+        monkeypatch.setattr(ratfunc, "_cancel", cancel)
+        for (a, b), w in want.items():
+            got = RatFunc.qt_monomial(a, b)
+            assert got == w and got.den == w.den and hash(got) == hash(w)
+
+
 class TestEval:
     def test_constant(self):
         assert rf_eval(RF_ONE, 5, Fraction(7, 3)) == 1
