@@ -11,13 +11,13 @@ which keeps coefficients free of odd powers of v: a word T_z goes
 through t^(l(z)/2) T_z and one scale by t^(-l(z)/2) at the end.
 
 An operator call writes f = S * sum N_e x^e over one shared denominator
-(`_split`): S is one RatFunc and each N_e lies in Z[q, v].  Every letter
-t^(1/2) T_i runs on the N_e, where its coefficients t, 1 - t and t - 1
-need only polynomial adds and a shift by v^2, and the call rebuilds
-canonical coefficients once at the end (`_join`).  The letters of a word
-(`_tT_word`) and the symmetrizer's coset recursion (`_symmetrize`) run
-on the numerators alone, so `macdonald` applies them to the cached
-numerator form of E_mu without a split.
+(`_split`): S is one RatFunc and each N_e lies in Z[q, v].  Every
+operator is a list of letters, and one executor (`_run`) applies them
+to the N_e: t^(1/2) T_i needs only polynomial adds and a shift by v^2,
+and g^(+-1) rotates the exponents and shifts by powers of q.  The
+leftover powers of q and v are folded into S once, and one `_join`
+rebuilds canonical coefficients; `macdonald` runs its letters on the
+cached numerator form of E_mu without a split.
 """
 
 from __future__ import annotations
@@ -106,42 +106,76 @@ def _gvee(N, n: int):
     return {(e[0] + 1,) + e[1:]: p for e, p in N.items()}
 
 
-def _tT_word(word, N):
-    """t^(l(z)/2) T_z on the numerators N along a word, rightmost letter
-    first."""
-    for i in reversed(word):
-        N = _tT(i, N)
-    return N
+def _g(N, inverse: bool):
+    """g, or g^-1, on the numerators N, up to the scalar q^k it returns.
+
+    g takes x^e to q^(-e_n) x^(e_n, e_1, ..., e_(n-1)) and g^-1 takes x^e
+    to q^(e_1) x^(e_2, ..., e_n, e_1).  With k the least of these powers
+    of q, each N_e shifts by q^(power - k), so N stays in Z[q, v].
+    """
+    if inverse:
+        moved = [(e[1:] + e[:1], e[0], p) for e, p in N.items()]
+    else:
+        moved = [(e[-1:] + e[:-1], -e[-1], p) for e, p in N.items()]
+    k = min((a for _, a, _ in moved), default=0)
+    return {e: p.mul_monom((a - k, 0)) if a != k else p for e, a, p in moved}, k
 
 
-def _word(word, f: LaurentPoly, s: RatFunc) -> LaurentPoly:
-    """s t^(l(z)/2) T_z f along a word, rightmost letter first: one
-    split, every letter on the numerators, one join."""
-    word = list(word)
-    for i in word:
-        _check_index(i, f.n)
-    S, N = _split(f)
-    return _join(f.n, S * s, _tT_word(word, N))
+def _run(n: int, S: RatFunc, N, letters) -> LaurentPoly:
+    """The letters, first to last, on f = S * sum N_e x^e, joined once.
+
+    A letter is (name, i), and only the T letters read i: 'tT' is
+    t^(1/2) T_i, 'T' and 'T^-1' are T_i and T_i^(-1), 'g', 'g^-1' and
+    'gvee' are g, g^(-1) and g_vee, '1_0' is the symmetrizer and 'sum' is
+    1_0 without its t^(-l(w0)/2).  The powers of q and v the letters
+    leave over are folded into S once.
+    """
+    qk = vk = 0
+    for name, i in letters:
+        if name in ("tT", "T", "T^-1"):
+            _check_index(i, n)
+            out = _tT(i, N)
+            if name == "T^-1":  # t^(-1/2) (t^(1/2) T_i - (t - 1))
+                for e, p in N.items():
+                    _acc(out, e, p - p.mul_monom(_T_MONOM))
+            if name != "tT":
+                vk -= 1
+            N = out
+        elif name in ("g", "g^-1"):
+            N, k = _g(N, name == "g^-1")
+            qk += k
+        elif name == "gvee":
+            N = _gvee(N, n)
+            vk -= n - 1
+        elif name in ("1_0", "sum"):
+            N = _symmetrize(N, n)
+            if name == "1_0":
+                vk -= n * (n - 1) // 2
+        else:
+            raise InvariantViolation(f"unknown operator letter {name!r}")
+    if qk or vk:
+        S = S * RatFunc.q_power(qk) * RatFunc.v_power(vk)
+    return _join(n, S, N)
+
+
+def _apply(f: LaurentPoly, letters) -> LaurentPoly:
+    """The letters (see `_run`) on f: one split, one join."""
+    return _run(f.n, *_split(f), letters)
 
 
 def apply_tT(i: int, f: LaurentPoly) -> LaurentPoly:
     """t^(1/2) T_i f (see `_tT`)."""
-    return _word((i,), f, RF_ONE)
+    return _apply(f, [("tT", i)])
 
 
 def apply_T(i: int, f: LaurentPoly) -> LaurentPoly:
     """T_i f."""
-    return _word((i,), f, _VINV)
+    return _apply(f, [("T", i)])
 
 
 def apply_T_inv(i: int, f: LaurentPoly) -> LaurentPoly:
     """T_i^(-1) f = t^(-1/2) (t^(1/2) T_i - (t - 1)) f."""
-    _check_index(i, f.n)
-    S, N = _split(f)
-    out = _tT(i, N)
-    for e, p in N.items():
-        _acc(out, e, p - p.mul_monom(_T_MONOM))
-    return _join(f.n, S * _VINV, out)
+    return _apply(f, [("T^-1", i)])
 
 
 def divided_difference_part(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -193,54 +227,46 @@ def apply_T_reference(i: int, f: LaurentPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # g, g_vee, Y_i
 
-def _long_cycle(n):
-    """s_1 s_2 ... s_{n-1} as a one-line permutation: i -> i + 1 mod n."""
-    return tuple(range(2, n + 1)) + (1,)
-
-
 def apply_g(f: LaurentPoly) -> LaurentPoly:
-    """g f: substitute x_n -> q^(-1) x_n, then x_i -> x_{cycle(i)}."""
-    return f.shift_qn().subst_perm(_long_cycle(f.n))
+    """g f: substitute x_n -> q^(-1) x_n, then x_i -> x_(i+1 mod n)."""
+    return _apply(f, [("g", None)])
 
 
 def apply_g_inv(f: LaurentPoly) -> LaurentPoly:
-    cycle_inv = fperm.inverse(_long_cycle(f.n))
-    return f.subst_perm(cycle_inv).shift_qn_inv()
+    """g^(-1) f: substitute x_i -> x_(i-1 mod n), then x_n -> q x_n."""
+    return _apply(f, [("g^-1", None)])
 
 
 def apply_gvee(f: LaurentPoly) -> LaurentPoly:
     """g_vee f = x_1 T_1 ... T_{n-1} f (T_{n-1} first)."""
-    n = f.n
-    S, N = _split(f)
-    return _join(n, S * RatFunc.v_power(-(n - 1)), _gvee(N, n))
+    return _apply(f, [("gvee", None)])
+
+
+_INVERSE = {"T": "T^-1", "T^-1": "T", "g": "g^-1"}
+
+
+def _Y_letters(i: int, n: int, inverse: bool = False):
+    """Y_i as letters, first applied first: Y_1 = g T_{n-1} ... T_1 and
+    Y_{i+1} = T_i^(-1) Y_i T_i^(-1).  Y_i^(-1) reverses them and inverts
+    each."""
+    if not 1 <= i <= n:
+        raise InvalidInputError(f"Y_{i} needs 1 <= i <= {n}")
+    side = [("T^-1", j) for j in range(1, i)]
+    letters = side[::-1] + [("T", j) for j in range(1, n)] + [("g", None)] + side
+    if inverse:
+        return [(_INVERSE[name], j) for name, j in reversed(letters)]
+    return letters
 
 
 def apply_Y(i: int, f: LaurentPoly) -> LaurentPoly:
-    """Y_i f via Y_1 = g T_{n-1} ... T_1 and Y_{i+1} = T_i^{-1} Y_i T_i^{-1}."""
-    n = f.n
-    if not 1 <= i <= n:
-        raise InvalidInputError(f"Y_{i} needs 1 <= i <= {n}")
-    for j in range(i - 1, 0, -1):
-        f = apply_T_inv(j, f)
-    f = apply_g(apply_tT_word(range(n - 1, 0, -1), f)).scale(
-        RatFunc.v_power(-(n - 1))
-    )
-    for j in range(1, i):
-        f = apply_T_inv(j, f)
-    return f
+    """Y_i f (see `_Y_letters`)."""
+    return _apply(f, _Y_letters(i, f.n))
 
 
 def apply_Y_inv(i: int, f: LaurentPoly) -> LaurentPoly:
     """Y_i^(-1) f = T_{i-1} ... T_1 Y_1^(-1) T_1 ... T_{i-1} f with
     Y_1^(-1) = T_1^(-1) ... T_{n-1}^(-1) g^(-1)."""
-    n = f.n
-    if not 1 <= i <= n:
-        raise InvalidInputError(f"Y_{i} needs 1 <= i <= {n}")
-    f = apply_T_word(range(1, i), f)
-    f = apply_g_inv(f)
-    for j in range(n - 1, 0, -1):
-        f = apply_T_inv(j, f)
-    return apply_T_word(range(i - 1, 0, -1), f)
+    return _apply(f, _Y_letters(i, f.n, inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +284,19 @@ def apply_operator_word(word, f: LaurentPoly) -> LaurentPoly:
     True
     """
     n = f.n
+    letters = []
     for tag in reversed(list(word)):
-        if tag == "g":
-            f = apply_g(f)
-        elif tag == "g^-1":
-            f = apply_g_inv(f)
-        elif tag == "gvee":
-            f = apply_gvee(f)
-        elif tag == "1_0":
-            f = apply_symmetrizer(f)
+        if tag in ("g", "g^-1", "gvee", "1_0"):
+            letters.append((tag, None))
         elif tag.startswith("T") and tag.endswith("^-1"):
-            f = apply_T_inv(_op_index(tag[1:-3], n, n - 1), f)
+            letters.append(("T^-1", _op_index(tag[1:-3], n, n - 1)))
         elif tag.startswith("T"):
-            f = apply_T(_op_index(tag[1:], n, n - 1), f)
+            letters.append(("T", _op_index(tag[1:], n, n - 1)))
         elif tag.startswith("Y"):
-            f = apply_Y(_op_index(tag[1:], n, n), f)
+            letters.extend(_Y_letters(_op_index(tag[1:], n, n), n))
         else:
             raise InvalidInputError(f"bad operator tag {tag!r}")
-    return f
+    return _apply(f, letters)
 
 
 def _op_index(text, n, top):
@@ -289,15 +310,8 @@ def _op_index(text, n, top):
 
 
 def apply_tT_word(word, f: LaurentPoly) -> LaurentPoly:
-    """t^(l(z)/2) T_z f along a reduced word."""
-    return _word(word, f, RF_ONE)
-
-
-def apply_T_word(word, f: LaurentPoly) -> LaurentPoly:
-    """T_z f for z = s_{word[0]} s_{word[1]} ... (rightmost letter first),
-    as t^(-len(word)/2) times the t^(1/2) T_i word."""
-    word = list(word)
-    return _word(word, f, RatFunc.v_power(-len(word)))
+    """t^(l(z)/2) T_z f along a reduced word, rightmost letter first."""
+    return _apply(f, [("tT", i) for i in reversed(list(word))])
 
 
 def _symmetrize(N, n: int):
@@ -319,20 +333,14 @@ def _symmetrize(N, n: int):
     return total
 
 
-def _symmetrizer(n: int, S: RatFunc, N) -> LaurentPoly:
-    """1_0 f for f = S * sum N_e x^e, with t^(-l(w0)/2) folded into S."""
-    return _join(n, S * RatFunc.v_power(-(n * (n - 1) // 2)), _symmetrize(N, n))
-
-
 def hecke_symmetrize_sum(f: LaurentPoly) -> LaurentPoly:
     """sum over z in S_n of t^(l(z)/2) T_z f (see `_symmetrize`)."""
-    S, N = _split(f)
-    return _join(f.n, S, _symmetrize(N, f.n))
+    return _apply(f, [("sum", None)])
 
 
 def apply_symmetrizer(f: LaurentPoly) -> LaurentPoly:
     """1_0 f = t^(-l(w0)/2) sum_z t^(l(z)/2) T_z f."""
-    return _symmetrizer(f.n, *_split(f))
+    return _apply(f, [("1_0", None)])
 
 
 def poincare_poly(n: int) -> RatFunc:
@@ -390,8 +398,4 @@ def apply_X_omega(r: int, f: LaurentPoly, word_form: str = "A") -> LaurentPoly:
         word = _coset_word_B(r, n)
     else:
         raise InvalidInputError(f"word_form must be 'A' or 'B', not {word_form!r}")
-    for i in reversed(word):
-        f = apply_T_inv(i, f)
-    for _ in range(r):
-        f = apply_gvee(f)
-    return f
+    return _apply(f, [("T^-1", i) for i in reversed(word)] + [("gvee", None)] * r)

@@ -131,7 +131,7 @@ class LaurentPoly:
 
     def mul_monomial(self, shift) -> "LaurentPoly":
         """Multiply by x^shift."""
-        shift = tuple(shift)
+        shift = check_weight(shift, self.n)
         out = {
             tuple(a + b for a, b in zip(e, shift)): c for e, c in self.terms.items()
         }
@@ -168,14 +168,6 @@ class LaurentPoly:
         for e, c in self.terms.items():
             k = e[-1]
             out[e] = c * RatFunc.q_power(-k) if k else c
-        return LaurentPoly(self.n, out, _clean=True)
-
-    def shift_qn_inv(self) -> "LaurentPoly":
-        """x_n -> q x_n, the inverse of shift_qn."""
-        out = {}
-        for e, c in self.terms.items():
-            k = e[-1]
-            out[e] = c * RatFunc.q_power(k) if k else c
         return LaurentPoly(self.n, out, _clean=True)
 
     # -- comparison and presentation --------------------------------------

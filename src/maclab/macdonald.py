@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 from . import hecke
 from . import permutations as fperm
-from .affine import box_greedy_word, decompose_mu
+from .affine import box_greedy_word
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, _acc, check_weight
 from .ratfunc import RF_ONE, RF_T, RING, RatFunc, _cancel_common, one_minus
@@ -128,7 +128,7 @@ def _E_form(mu):
 
 @lru_cache(maxsize=4096)
 def _compute_E_poly(mu) -> LaurentPoly:
-    return hecke._join(len(mu), *_E_form(mu))
+    return hecke._run(len(mu), *_E_form(mu), [])
 
 
 def compute_E(mu) -> MacdonaldResult:
@@ -146,7 +146,8 @@ def compute_E_rel(mu, z) -> MacdonaldResult:
     # T_z = t^(-l(z)/2) (t^(l(z)/2) T_z): fold l(z) into the one scalar
     shift = len(word) + fperm.length(fperm.compose(z, vinv)) - fperm.length(vinv)
     S, N = _E_form(mu)
-    f = hecke._join(len(mu), S * RatFunc.v_power(-shift), hecke._tT_word(word, N))
+    letters = [("tT", i) for i in reversed(word)]
+    f = hecke._run(len(mu), S * RatFunc.v_power(-shift), N, letters)
     return MacdonaldResult(mu, f, "operator-chain", z)
 
 
@@ -156,7 +157,8 @@ def compute_f(mu) -> MacdonaldResult:
     lam = tuple(sorted(mu, reverse=True))
     z = fperm.min_coset_rep(mu)
     S, N = _E_form(lam)
-    f = hecke._join(len(mu), S, hecke._tT_word(fperm.reduced_word(z), N))
+    letters = [("tT", i) for i in reversed(fperm.reduced_word(z))]
+    f = hecke._run(len(mu), S, N, letters)
     return MacdonaldResult(mu, f, "operator-chain", z)
 
 
@@ -194,11 +196,11 @@ def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
         for M in _orbit_numerators(lam, N):
             for e, p in M.items():
                 _acc(total, e, p)
-        return MacdonaldResult(lam, hecke._join(n, S, total), "operator-chain")
+        return MacdonaldResult(lam, hecke._run(n, S, total, []), "operator-chain")
     if method == "symmetrize":
         S, N = _E_form(lam)
         w_lam = hecke.poincare_stabilizer(lam)
-        f = hecke._join(n, S / w_lam, hecke._symmetrize(N, n))
+        f = hecke._run(n, S / w_lam, N, [("sum", None)])
         return MacdonaldResult(lam, f, "symmetrization")
     raise InvalidInputError(f"unknown method {method!r}")
 
@@ -206,9 +208,8 @@ def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
 def compute_F(mu) -> MacdonaldResult:
     """F_mu = 1_0 E_mu (coefficients may carry odd powers of t^(1/2))."""
     mu = check_weight(mu, nonneg=True)
-    return MacdonaldResult(
-        mu, hecke._symmetrizer(len(mu), *_E_form(mu)), "symmetrization"
-    )
+    f = hecke._run(len(mu), *_E_form(mu), [("1_0", None)])
+    return MacdonaldResult(mu, f, "symmetrization")
 
 
 def symmetrization_constant(mu) -> RatFunc:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Q, T, laurent_polys, random_laurent
+from maclab import hecke
 from maclab import permutations as fperm
 from maclab.errors import InvalidInputError, InvariantViolation
 from maclab.hecke import (
@@ -16,6 +17,7 @@ from maclab.hecke import (
     apply_g,
     apply_g_inv,
     apply_gvee,
+    apply_operator_word,
     apply_symmetrizer,
     apply_T,
     apply_T_inv,
@@ -189,6 +191,14 @@ class TestGOperators:
     def test_gvee_of_one(self):
         assert apply_gvee(LaurentPoly.one(3)) == x1.scale(T)
 
+    @settings(max_examples=40, deadline=None)
+    @given(laurent_polys(3))
+    def test_g_matches_substitution(self, f):
+        # the numerator letters against x_3 -> q^-1 x_3, x_i -> x_(i+1 mod 3)
+        for h in (f, LaurentPoly.zero(3)):
+            assert apply_g(h) == h.shift_qn().subst_perm((2, 3, 1))
+            assert apply_g(apply_g_inv(h)) == h
+
 
 class TestCherednik:
     def test_Y1_small(self):
@@ -249,6 +259,41 @@ class TestOperatorWords:
             apply_operator_word(["Y4"], LaurentPoly.one(3))
         with pytest.raises(InvalidInputError):
             apply_operator_word(["Z1"], LaurentPoly.one(3))
+
+    def test_tags_match_single_calls(self):
+        rng = random.Random(101)
+        for _ in range(3):
+            f = random_laurent(rng, 3)
+            assert apply_operator_word(["Y2"], f) == apply_Y(2, f)
+            assert apply_operator_word([], f) == f
+            got = apply_operator_word(["gvee", "g^-1", "1_0", "T2^-1"], f)
+            want = apply_gvee(apply_g_inv(apply_symmetrizer(apply_T_inv(2, f))))
+            assert got == want
+
+
+class TestOneExecutor:
+    """Every operator runs its letters between one split and one join."""
+
+    @pytest.mark.parametrize(
+        "op, args",
+        [
+            (apply_Y, (3,)),
+            (apply_Y_inv, (3,)),
+            (apply_X_omega, (2,)),
+            (apply_operator_word, (["Y2", "T1^-1", "g"],)),
+        ],
+        ids=["Y3", "Y3_inv", "X_omega2", "word"],
+    )
+    def test_one_split_one_join(self, monkeypatch, op, args):
+        calls = {"_split": 0, "_join": 0}
+        for name in calls:
+            def counted(*a, _name=name, _fn=getattr(hecke, name)):
+                calls[_name] += 1
+                return _fn(*a)
+
+            monkeypatch.setattr(hecke, name, counted)
+        op(*args, random_laurent(random.Random(59), 4))
+        assert calls == {"_split": 1, "_join": 1}
 
 
 class TestSymmetrizer:

@@ -36,6 +36,13 @@ class TestArith:
         g = lp(3, {(1, 0, 0): RatFunc.from_int(0)})
         assert g.terms == {}
 
+    def test_monomial_shift_needs_length_n(self):
+        # zip would truncate a short shift and leave a short exponent
+        assert x1.mul_monomial((0, 1, -1)) == lp(3, {(1, 1, -1): RF_ONE})
+        for shift in ((1,), (1, 0, 0, 0)):
+            with pytest.raises(InvalidInputError):
+                x1.mul_monomial(shift)
+
 
 class TestCoeff:
     def test_leading_coefficient_of_E(self):
