@@ -450,10 +450,11 @@ def _check(name: str, got: LaurentPoly, want: LaurentPoly) -> CheckLine:
 def verify_eigen(mu) -> list:
     """Check Y_i E_mu = eigenvalue * E_mu for every i."""
     mu = check_weight(mu, nonneg=True)
+    n = len(mu)
     E = _compute_E_poly(mu)
     out = []
-    for i in range(1, len(mu) + 1):
-        got = hecke.apply_Y(i, E)
+    for i in range(1, n + 1):
+        got = hecke._run(n, *_E_form(mu), hecke._Y_letters(i, n))
         want = E.scale(eigenvalue(mu, i))
         out.append(_check(f"Y_{i} E_{mu}", got, want))
     return out
@@ -476,13 +477,16 @@ def verify_haction(mu, i: int) -> list:
     if mu[i - 1] < mu[i]:
         # swap roles so that mu_i > mu_{i+1}
         mu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
+    n = len(mu)
     E = _compute_E_poly(mu)
     ed = eigen_data(mu, i)
     out = []
-    yy = hecke.apply_Y_inv(i, hecke.apply_Y(i + 1, E))
+    # Y_(i+1), then Y_i^-1, on the cached form: one join
+    letters = hecke._Y_letters(i + 1, n) + hecke._Y_letters(i, n, inverse=True)
+    yy = hecke._run(n, *_E_form(mu), letters)
     want = E.scale(ed.a_mu)
     out.append(_check(f"Y_{i}^-1 Y_{i + 1} E_{mu}", yy, want))
-    tTE = hecke.apply_tT(i, E)
+    tTE = hecke._run(n, *_E_form(mu), [("tT", i)])
     if mu[i - 1] == mu[i]:
         tau = tTE + E.scale(one_minus(RF_T) / one_minus(ed.a_mu))
         out.append(CheckLine(f"t^1/2 tau_{i} E_{mu} = 0", tau.is_zero()))
@@ -493,7 +497,7 @@ def verify_haction(mu, i: int) -> list:
     Es = _compute_E_poly(smu)
     want = E.scale(-(one_minus(RF_T) / one_minus(ed.a_mu))) + Es
     out.append(_check(f"t^1/2 T_{i} E_{mu}", tTE, want))
-    tTEs = hecke.apply_tT(i, Es)
+    tTEs = hecke._run(n, *_E_form(smu), [("tT", i)])
     want = E.scale(ed.d_mu) - Es.scale(one_minus(RF_T) / one_minus(ed.a_simu))
     out.append(_check(f"t^1/2 T_{i} E_{smu}", tTEs, want))
     tau = tTE + E.scale(one_minus(RF_T) / one_minus(ed.a_mu))

@@ -21,10 +21,12 @@ divides all the polynomials at hand (q and v at their lowest exponent,
 in one step), then by their integer content; never a gcd.  Most factors
 are g(q^a v^b) for a univariate g, and dividing by one splits a
 polynomial into univariate lines over q^a v^b.  A new denominator (from
-`inverse`, `/` or the two-argument constructor) is factored once, by
-sympy's `factor_list` on what the known factors leave over.
+`inverse`, `/` or the two-argument constructor) is factored once: what
+the known factors leave over is peeled into cyclotomics Phi_d(q^a v^b),
+one edge of its Newton polygon at a time (`_peel`), and only a rest
+that is not such a product goes to sympy's `factor_list`.
 
-Polynomials are sympy sparse ring elements over ZZ.
+Polynomials are `zpoly.IntPoly2` dicts over Z[q, v].
 
 >>> t = RatFunc.t_power(2)
 >>> (t / RatFunc.t_power(1)) == RatFunc.t_power(1)
@@ -40,26 +42,18 @@ from functools import lru_cache
 from math import gcd
 from operator import itemgetter
 
-from sympy import ZZ
-from sympy.polys.rings import ring
-
 from .errors import (
     DivisionByZeroError,
     EvaluationError,
     InvalidInputError,
     ZeroDenominatorError,
 )
-
-# The shared coefficient ring Z[q, v], lex order with q > v.
-RING, QGEN, VGEN = ring("q,v", ZZ)
+from .zpoly import QGEN, RING, VGEN, IntPoly2
 
 _ZERO = RING.zero
 _ONE = RING.one
 
 _EXP = (itemgetter(0), itemgetter(1))  # a monomial's q and v exponents
-
-# IntPoly2 is a sympy PolyElement of RING; the alias documents intent.
-IntPoly2 = type(_ONE)
 
 
 def poly_from_terms(terms):
@@ -71,19 +65,19 @@ def poly_from_terms(terms):
         if eq < 0 or ev < 0:
             raise ValueError("IntPoly2 exponents must be nonnegative")
         if c:
-            p += RING.term_new((eq, ev), ZZ(c))
+            p += RING.term_new((eq, ev), int(c))
     return p
 
 
 def poly_terms(p):
     """Terms of an IntPoly2 as ((q_exp, v_exp), int) in lex-descending order."""
-    return [((m[0], m[1]), int(c)) for m, c in p.terms()]
+    return p.terms()
 
 
 def _eval_poly(p, q0: Fraction, v0: Fraction) -> Fraction:
     total = Fraction(0)
-    for (eq, ev), c in p.terms():
-        total += int(c) * q0**eq * v0**ev
+    for (eq, ev), c in p.items():
+        total += c * q0**eq * v0**ev
     return total
 
 
@@ -117,7 +111,7 @@ class _Factor:
         """p / self when self divides p, else None."""
         if self.step is None:
             quo, rem = p.div(self.poly)
-            return None if rem else IntPoly2(RING, quo)  # drops a stale hash
+            return None if rem else quo
         return _line_exquo(p, self.step, self.terms)
 
 
@@ -141,7 +135,7 @@ def _line_form(p):
         k = m[0] // a if a else m[1] // b
         if m != (k * a, k * b):
             return None, None
-        powers[k] = int(c)
+        powers[k] = c
     step = 0
     for k in powers:
         step = gcd(step, k)
@@ -200,7 +194,7 @@ def _line_exquo(p, step, terms):
                     h[pos - off] -= quo * gk
         if any(h[:d]):
             return None
-    return IntPoly2(RING, out)
+    return IntPoly2(out)
 
 
 # polynomial -> its _Factor; it keeps every factor met, a few dozen for the
@@ -231,7 +225,7 @@ def _divide(f, polys, k):
                 return 0, polys
         dq, dv = (0, j) if f is _FV else (j, 0)
         return j, [
-            IntPoly2(RING, {(a - dq, b - dv): c for (a, b), c in p.items()})
+            IntPoly2({(a - dq, b - dv): c for (a, b), c in p.items()})
             for p in polys
         ]
     j = 0
@@ -288,17 +282,128 @@ def _factor(p):
     lines = (f for f in _REGISTRY.values() if f.step is not None)
     (p,), left, _ = _cancel([p], dict.fromkeys(lines, d), 1)
     fac = {f: d - k for f, k in left.items() if k < d}
-    if len(p) == 1 and (0, 0) in p:
-        return int(p[(0, 0)]), fac
-    u, parts = p.factor_list()
-    u = int(u)
-    for g, k in parts:
-        if g.LC < 0:
-            g = -g
-            u *= (-1) ** k
-        f = _intern(IntPoly2(RING, g))
-        fac[f] = fac.get(f, 0) + k
-    return u, fac
+    while len(p) > 1 or (0, 0) not in p:
+        peeled = _peel(p)
+        if peeled is None:
+            # not a product of cyclotomics in monomials: sympy factors it
+            u, parts = p.factor_list()
+            for g, k in parts:
+                if g.LC < 0:
+                    g = -g
+                    u *= (-1) ** k
+                f = _intern(g)
+                fac[f] = fac.get(f, 0) + k
+            return u, fac
+        p, found = peeled
+        for f, k in found:
+            fac[f] = fac.get(f, 0) + k
+    return p[(0, 0)], fac
+
+
+def _peel(p):
+    """(p', [(f, k), ...]) with p = p' * prod f.poly^k, or None.
+
+    The f are the factors Phi_d(m) on the edge of p's Newton polygon at
+    the origin with the lowest slope, m = q^a v^b primitive.  A factor
+    of p restricts to that edge as itself when it lies on the ray of m
+    and as its constant term otherwise (the polygon of a product is the
+    sum of its factors' polygons), so when p is a product of
+    cyclotomics in monomials, the edge h(m) is an int times the factors
+    on the ray.  None when p has no constant term, h is not an int times
+    cyclotomics, or one of them does not divide p.
+    """
+    if (0, 0) not in p:
+        return None
+    top = None  # the nonzero exponent of least slope v/q
+    for i, j in p:
+        if (i or j) and (top is None or j * top[0] < top[1] * i):
+            top = (i, j)
+    g = gcd(*top)
+    a, b = top[0] // g, top[1] // g
+    ray = {i // a if a else j // b: c for (i, j), c in p.items() if i * b == j * a}
+    h = [ray.get(k, 0) for k in range(max(ray) + 1)]
+    cyc = _cyclotomic_parts(h)
+    if cyc is None:
+        return None
+    found = []
+    for d, k in cyc:
+        f = _intern(
+            IntPoly2(
+                {(e * a, e * b): c for e, c in enumerate(_cyclotomic(d)) if c}
+            )
+        )
+        j, (p,) = _divide(f, [p], k)
+        if j < k:
+            return None
+        found.append((f, k))
+    return p, found
+
+
+def _cyclotomic_parts(h):
+    """[(d, k), ...] with h = c * prod Phi_d^k for an int c, or None; h
+    is a dense list of ints, lowest power first, with h[0] != 0."""
+    # a product of cyclotomics is palindromic, up to sign
+    rev = h[::-1]
+    if h != rev and h != [-c for c in rev]:
+        return None
+    out = []
+    d = 0
+    # phi(d) >= sqrt(d / 2), so no Phi_d past 2 deg(h)^2 divides h
+    while len(h) > 1 and d < 2 * (len(h) - 1) ** 2:
+        d += 1
+        if _totient(d) >= len(h):
+            continue
+        phi = _cyclotomic(d)
+        k = 0
+        while len(phi) <= len(h):
+            quo = _dense_exquo(h, phi)
+            if quo is None:
+                break
+            h = quo
+            k += 1
+        if k:
+            out.append((d, k))
+    return out if len(h) == 1 else None
+
+
+def _totient(d):
+    """Euler's phi(d), the degree of Phi_d."""
+    out, n, r = d, d, 2
+    while r * r <= n:
+        if n % r == 0:
+            while n % r == 0:
+                n //= r
+            out -= out // r
+        r += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d):
+    """Phi_d as a dense tuple of ints, lowest power first:
+    x^d - 1 over Phi_e for the proper divisors e of d."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p = _dense_exquo(p, _cyclotomic(e))
+    return tuple(p)
+
+
+def _dense_exquo(h, g):
+    """h / g for a monic g, or None when g does not divide h (dense
+    lists of ints, lowest power first)."""
+    dg = len(g) - 1
+    h = list(h)
+    quo = [0] * (len(h) - dg)
+    for k in range(len(h) - 1, dg - 1, -1):
+        c = h[k]
+        if c:
+            quo[k - dg] = c
+            for t in range(dg + 1):
+                h[k - dg + t] -= c * g[t]
+    return None if any(h[:dg]) else quo
 
 
 def _make(num, c, fac, den=None):
@@ -328,9 +433,6 @@ class RatFunc:
             num, u, fac = _ZERO, 1, {}
         else:
             u, fac = _factor(den)
-            # a fresh copy: a caller's polynomial may carry a stale cached
-            # hash (sympy's div leaves one on its quotient)
-            num = IntPoly2(RING, num)
             if u < 0:
                 num, u = -num, -u
             (num,), fac, u = _cancel([num], fac, u)
@@ -377,7 +479,7 @@ class RatFunc:
     def qt_monomial(qexp: int, texp: int) -> "RatFunc":
         """q^qexp * t^texp with integer exponents of either sign."""
         vexp = 2 * texp
-        num = IntPoly2(RING, {(max(qexp, 0), max(vexp, 0)): 1})
+        num = IntPoly2({(max(qexp, 0), max(vexp, 0)): 1})
         fac = {f: -k for f, k in ((_FQ, qexp), (_FV, vexp)) if k < 0}
         return _make(num, 1, fac, None if fac else _ONE)
 
@@ -395,8 +497,8 @@ class RatFunc:
     def has_even_v(self) -> bool:
         """True when every v-exponent in num and den is even (so the
         value lies in Q(q, t))."""
-        return all(m[1] % 2 == 0 for m in self.num.monoms()) and all(
-            m[1] % 2 == 0 for m in self.den.monoms()
+        return all(m[1] % 2 == 0 for m in self.num) and all(
+            m[1] % 2 == 0 for m in self.den
         )
 
     def is_v_monomial(self) -> bool:

@@ -5,14 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from maclab import affine, hecke, laurent, permutations, ratfunc
+from maclab import affine, hecke, laurent, permutations, ratfunc, zpoly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize(
     "module",
-    [ratfunc, laurent, permutations, affine, hecke],
+    [ratfunc, zpoly, laurent, permutations, affine, hecke],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):

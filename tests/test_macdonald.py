@@ -321,14 +321,17 @@ class TestHAction:
 
     def test_ascent_swaps_before_any_work(self, monkeypatch):
         # an ascent mu_i < mu_(i+1) is checked at s_i mu, with nothing
-        # computed at mu first: one Y_(i+1)
+        # computed at mu first: one Y_(i+1), then one Y_i^-1
         calls = []
-        apply_Y = hecke.apply_Y
+        Y_letters = hecke._Y_letters
         monkeypatch.setattr(
-            hecke, "apply_Y", lambda i, f: calls.append(i) or apply_Y(i, f)
+            hecke,
+            "_Y_letters",
+            lambda i, n, inverse=False: calls.append((i, inverse))
+            or Y_letters(i, n, inverse),
         )
         lines = verify_haction((0, 1, 2), 1)
-        assert calls == [2]
+        assert calls == [(2, False), (1, True)]
         assert all(line.ok for line in lines)
         assert lines == verify_haction((1, 0, 2), 1)
 
