@@ -82,9 +82,7 @@ class PeriodicPerm:
         """Composition (self * other)(k) = self(other(k))."""
         if self.n != other.n:
             raise InvalidInputError("dimension mismatch")
-        return PeriodicPerm(
-            self.n, (self.apply(other.window[i]) for i in range(self.n))
-        )
+        return _mul(self, other)
 
     def inverse(self) -> "PeriodicPerm":
         n = self.n
@@ -154,6 +152,16 @@ class PeriodicPerm:
                 if wa > wj + start * n:
                     total += (wa - wj - start * n - 1) // n + 1
         return total
+
+
+def _mul(a: PeriodicPerm, b: PeriodicPerm) -> PeriodicPerm:
+    """a * b for two elements of one group, without the residue check: a
+    product of periodic permutations is one."""
+    n, w = a.n, a.window
+    out = object.__new__(PeriodicPerm)
+    out.n = n
+    out.window = tuple(w[(x - 1) % n] + (x - 1) // n * n for x in b.window)
+    return out
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from math import factorial
 from types import MappingProxyType
 
 from . import permutations as fperm
-from .affine import AffineRoot, PeriodicPerm, box_greedy_word, boxes_of, u_stat
+from .affine import AffineRoot, PeriodicPerm, _mul, box_greedy_word, boxes_of, u_stat
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, check_weight
 from .macdonald import MacdonaldResult, _poch
@@ -51,11 +51,15 @@ class Diagram:
 
     @staticmethod
     def of(mu) -> "Diagram":
-        return _diagram(check_weight(mu, nonneg=True))
+        """The Diagram of mu.  The cache is keyed by mu as given (a list as
+        its tuple), and the weight is checked on the miss that builds the
+        Diagram: once per distinct input, so a repeated call is a lookup."""
+        return _diagram(mu if type(mu) is tuple else tuple(mu))
 
 
 @lru_cache(maxsize=1024)
 def _diagram(mu) -> Diagram:
+    mu = check_weight(mu, nonneg=True)
     n = len(mu)
     boxes = tuple(boxes_of(mu))
     coordinate = {(i, j): i + n * j for (i, j) in boxes}
@@ -169,7 +173,7 @@ def qt_special_count(shape: str, n: int, r: int) -> int:
 # fillings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Filling:
     mu: tuple
     z: tuple
@@ -208,35 +212,33 @@ def _qt_run_excluded(mu, z, fill, i, j):
 def enumerate_fillings(mu, z, kind: str = "nonattacking"):
     """All fillings in cylindrical box order, values chosen ascending."""
     d = Diagram.of(mu)
-    mu, boxes = d.mu, d.boxes
-    n = len(mu)
-    z = fperm.check_perm(z, n)
+    z = fperm.check_perm(z, len(d.mu))
     if kind not in ("nonattacking", "queue"):
         raise InvalidInputError(f"unknown filling kind {kind!r}")
     out = []
-    fill = {}
-
-    def backtrack(k):
-        if k == len(boxes):
-            out.append(
-                Filling(mu, z, tuple(fill[b] for b in boxes), kind)
-            )
-            return
-        i, j = boxes[k]
-        banned = set()
-        for (i2, j2) in d.attack[i, j]:
-            banned.add(z[i2 - 1] if j2 == 0 else fill[i2, j2])
-        if kind == "queue":
-            banned |= _qt_run_excluded(mu, z, fill, i, j)
-        for val in range(1, n + 1):
-            if val in banned:
-                continue
-            fill[i, j] = val
-            backtrack(k + 1)
-            del fill[i, j]
-
-    backtrack(0)
+    _backtrack(d, z, kind, {}, out)
     return out
+
+
+def _backtrack(d, z, kind, fill, out):
+    """Fill the boxes of d from box len(fill) on, appending each finished
+    Filling to out.  A module-level function, so that no closure cycle
+    keeps out alive after the caller drops it."""
+    k = len(fill)
+    if k == len(d.boxes):
+        # each level deletes its box before the one above moves on, so
+        # fill's insertion order is the box order
+        out.append(Filling(d.mu, z, tuple(fill.values()), kind))
+        return
+    i, j = box = d.boxes[k]
+    banned = {z[i2 - 1] if j2 == 0 else fill[i2, j2] for i2, j2 in d.attack[box]}
+    if kind == "queue":
+        banned |= _qt_run_excluded(d.mu, z, fill, i, j)
+    for val in range(1, len(z) + 1):
+        if val not in banned:
+            fill[box] = val
+            _backtrack(d, z, kind, fill, out)
+            del fill[box]
 
 
 def filling_word(T: Filling):
@@ -255,42 +257,56 @@ def filling_word(T: Filling):
 def pipedream_convert(T: Filling):
     """P(k, j) = i iff T(i, j) = k, with 0 where k is absent; column 0 is
     the basement."""
-    mu = T.mu
-    n = len(mu)
-    width = (max(mu) if any(mu) else 0) + 1
-    P = [[0] * width for _ in range(n)]
-    for i in range(1, n + 1):
-        P[T.z[i - 1] - 1][0] = i
-    fill = T.as_dict()
-    for (i, j), v in fill.items():
-        if P[v - 1][j]:
+    d = Diagram.of(T.mu)
+    width = max(d.mu, default=0) + 1
+    P = [[0] * width for _ in d.mu]
+    for i, k in enumerate(T.z, start=1):
+        P[k - 1][0] = i
+    for (i, j), v in zip(d.boxes, T.values):
+        row = P[v - 1]
+        if row[j]:
             raise InvalidInputError("filling is not column distinct")
-        P[v - 1][j] = i
-    return [row[:] for row in P]
+        row[j] = i
+    return P
 
 
 def pipedream_invert(P, mu, z) -> Filling:
+    """The filling T with T(i, j) = k iff P(k, j) = i, inverting
+    `pipedream_convert`.  P must have n rows, row k starting with the i
+    of z(i) = k, and name each box of dg(mu) exactly once, with row
+    indices in 1..n; anything else raises InvalidInputError."""
     d = Diagram.of(mu)
     n = len(d.mu)
     z = fperm.check_perm(z, n)
-    fill = {}
-    for k in range(1, n + 1):
-        for j in range(1, len(P[k - 1])):
-            i = P[k - 1][j]
-            if i:
-                fill[i, j] = k
-    try:
-        values = tuple(fill[b] for b in d.boxes)
-    except KeyError as e:
-        raise InvalidInputError(f"pipe dream misses box {e}") from None
-    return Filling(d.mu, z, values)
+    if len(P) != n:
+        raise InvalidInputError(f"pipe dream has {len(P)} rows, not {n}")
+    values = [0] * len(d.boxes)
+    for k, row in enumerate(P, start=1):
+        # column 0 holds the i with z(i) = k
+        if not row or not 1 <= row[0] <= n or z[row[0] - 1] != k:
+            raise InvalidInputError(f"pipe dream row {k} disagrees with z in column 0")
+        for j in range(1, len(row)):
+            i = row[j]
+            if not i:
+                continue
+            if not 1 <= i <= n:
+                raise InvalidInputError(f"pipe dream row index {i} is not in 1..{n}")
+            b = d.index.get((i, j))
+            if b is None:
+                raise InvalidInputError(f"pipe dream names {(i, j)}, not a box of dg({d.mu})")
+            if values[b]:
+                raise InvalidInputError(f"pipe dream names box {(i, j)} twice")
+            values[b] = k
+    if 0 in values:
+        raise InvalidInputError(f"pipe dream misses box {d.boxes[values.index(0)]}")
+    return Filling(d.mu, z, tuple(values))
 
 
 # ---------------------------------------------------------------------------
 # alcove walks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlcoveWalk:
     mu: tuple
     z: tuple
@@ -316,39 +332,32 @@ def iter_walks(mu, z):
     Depth-first with the cross branch taken before the fold branch, so
     walks arrive ordered by their binary fold vector (cross = 0 before
     fold = 1, first s-letter most significant).  Prefixes are shared, so
-    iterating all 2^l(u_mu) walks costs one group operation per tree node.
+    iterating all 2^l(u_mu) walks costs one unchecked group product per
+    tree node.
     """
     mu = check_weight(mu, nonneg=True)
     n = len(mu)
     z = fperm.check_perm(z, n)
     word = box_greedy_word(mu)
-    pi = PeriodicPerm.pi(n)
-    simples = {L: PeriodicPerm.s(int(L[1:]), n) for L in set(word) - {"pi"}}
-    start = PeriodicPerm.from_finite(z)
-
-    def rec(k, states, folds):
-        if k == len(word):
-            yield AlcoveWalk(mu, z, word, tuple(folds), tuple(states))
-            return
-        L = word[k]
-        p = states[-1]
-        if L == "pi":
-            states.append(p * pi)
-            yield from rec(k + 1, states, folds)
+    steps = {L: PeriodicPerm.s(int(L[1:]), n) for L in set(word) - {"pi"}}
+    steps["pi"] = PeriodicPerm.pi(n)
+    states, folds = [PeriodicPerm.from_finite(z)], []
+    while True:
+        # descend along crossings to the end of the word
+        for L in word[len(states) - 1 :]:
+            states.append(_mul(states[-1], steps[L]))
+            if L != "pi":
+                folds.append(False)
+        yield AlcoveWalk(mu, z, word, tuple(folds), tuple(states))
+        # back up to the last crossing and fold there instead
+        while True:
+            if len(states) == 1:
+                return
             states.pop()
-            return
-        states.append(p * simples[L])
-        folds.append(False)
-        yield from rec(k + 1, states, folds)
-        states.pop()
-        folds.pop()
-        states.append(p)
+            if word[len(states) - 1] != "pi" and not folds.pop():
+                break
+        states.append(states[-1])
         folds.append(True)
-        yield from rec(k + 1, states, folds)
-        states.pop()
-        folds.pop()
-
-    yield from rec(0, [start], [])
 
 
 def enumerate_walks(mu, z):
@@ -357,14 +366,14 @@ def enumerate_walks(mu, z):
     return list(iter_walks(mu, z))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathSegment:
     kind: str  # 'c', 'f', or 'omega'
     direction: tuple  # vector in Q^n
     root: object = None  # AffineRoot for folds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathRealization:
     walk: AlcoveWalk
     segments: tuple
@@ -392,39 +401,49 @@ class PathRealization:
         return {"segments": segs, "rho": [str(x) for x in self.rho]}
 
 
+@lru_cache(maxsize=None)
+def _walk_constants(n):
+    """What every walk in rank n shares: the omega segment (1/n, ..., 1/n),
+    the crossing segment along the coroot e_a - e_b for each a != b, and
+    rho."""
+    zero, one = Fraction(0), Fraction(1)
+    cross = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if a != b:
+                e = [zero] * n
+                e[a - 1], e[b - 1] = one, -one
+                cross[a, b] = PathSegment("c", tuple(e))
+    omega = PathSegment("omega", (Fraction(1, n),) * n)
+    rho = tuple(Fraction(n - 1, 2) - a for a in range(n))
+    return omega, cross, rho
+
+
 def walk_geometry(walk: AlcoveWalk) -> PathRealization:
     """Per-step path segments: omega for pi, c/f in direction of the
-    moved coroot, fold steps also carrying their hyperplane root."""
+    moved coroot, fold steps also carrying their hyperplane root.
+
+    The omega segment, the crossing segments (whose directions the folds
+    share) and rho are built once per n and shared by every walk (all are immutable), so a
+    walk makes no Fraction: only its segment tuple and, per fold, the
+    fold's segment and root.
+    """
     n = len(walk.mu)
+    omega, cross, rho = _walk_constants(n)
     segments = []
-    k = 0
-    idx = 0
-    for L in walk.word:
-        p = walk.states[idx]
-        idx += 1
+    folds = iter(walk.folds)
+    for L, p in zip(walk.word, walk.states):
         if L == "pi":
-            segments.append(
-                PathSegment("omega", tuple(Fraction(1, n) for _ in range(n)))
-            )
+            segments.append(omega)
             continue
         i = int(L[1:])
-        window = p.window
-        vi = (window[i - 1] - 1) % n + 1
-        vi1 = (window[i] - 1) % n + 1
-        ci = (window[i - 1] - vi) // n
-        ci1 = (window[i] - vi1) // n
-        direction = [Fraction(0)] * n
-        direction[vi - 1] = Fraction(1)
-        direction[vi1 - 1] = Fraction(-1)
-        if walk.folds[k]:
-            root = AffineRoot(vi1, vi, ci - ci1)
-            segments.append(PathSegment("f", tuple(direction), root))
+        wi, wi1 = p.window[i - 1], p.window[i]
+        vi, vi1 = (wi - 1) % n + 1, (wi1 - 1) % n + 1
+        if next(folds):
+            root = AffineRoot(vi1, vi, (wi - vi) // n - (wi1 - vi1) // n)
+            segments.append(PathSegment("f", cross[vi, vi1].direction, root))
         else:
-            segments.append(PathSegment("c", tuple(direction)))
-        k += 1
-    rho = tuple(
-        Fraction(n - 1, 2) - (a - 1) for a in range(1, n + 1)
-    )
+            segments.append(cross[vi, vi1])
     return PathRealization(walk, tuple(segments), rho)
 
 
@@ -494,25 +513,54 @@ def _psi_strip(lam, mu) -> RatFunc:
 
 def column_strict_tableaux(lam, n):
     """All column strict tableaux of shape lam with entries in {1..n},
-    as chains (lam^(0) = empty, ..., lam^(n) = lam) of partitions."""
+    as chains (lam^(0) = empty, ..., lam^(n) = lam) of partitions, in
+    lexicographic order of (lam^(n-1), ..., lam^(1)).
+
+    A horizontal strip takes at most one box from each column, so a
+    shape with k nonzero parts needs k more strips to empty.  The search
+    runs depth first over one shared chain and only steps to shapes that
+    can still be emptied in the steps left, so no branch is dead: its
+    time is proportional to the chains it returns.
+    """
     lam = tuple(int(x) for x in lam)
     if list(lam) != sorted(lam, reverse=True):
         raise InvalidInputError("shape must be a partition")
+    if any(x < 0 for x in lam) or sum(1 for x in lam if x) > n:
+        return []
+    empty = (0,) * len(lam)
+    if n < 2:
+        # lam is empty when n = 0, and one strip when n = 1
+        return [(empty,) + (lam,) * n]
+    chain = [empty] + [None] * (n - 1) + [lam]
+    out = []
+    _strip_chains(chain, n, out, {})
+    return out
 
-    def chains(shape, steps):
-        if steps == 0:
-            if any(shape):
-                return
-            yield ((0,) * len(lam),)
-            return
-        # every mu with shape/mu a horizontal strip: shape_(i+1) <= mu_i <=
-        # shape_i, which also makes mu weakly decreasing
-        ranges = (range(lo, hi + 1) for lo, hi in zip(shape[1:] + (0,), shape))
-        for prev in product(*ranges):
-            for chain in chains(prev, steps - 1):
-                yield chain + (shape,)
 
-    return list(chains(lam, n))
+def _strip_chains(chain, steps, out, below):
+    """Fill chain[steps - 1], ..., chain[1] below chain[steps] (which has
+    at most `steps` nonzero parts), appending each finished chain to out.
+
+    below[shape, steps] lists every mu with shape/mu a horizontal strip
+    and at most steps - 1 nonzero parts: shape_(i+1) <= mu_i <= shape_i,
+    which also makes mu weakly decreasing, and mu_i = 0 from part
+    `steps` on.  Many chains pass through one shape, so each list is
+    made once per call.
+    """
+    shape = chain[steps]
+    prevs = below.get((shape, steps))
+    if prevs is None:
+        ranges = [
+            range(lo, (hi if i < steps - 1 else 0) + 1)
+            for i, (lo, hi) in enumerate(zip(shape[1:] + (0,), shape))
+        ]
+        prevs = below[shape, steps] = list(product(*ranges))
+    for prev in prevs:
+        chain[steps - 1] = prev
+        if steps == 2:
+            out.append(tuple(chain))
+        else:
+            _strip_chains(chain, steps - 1, out, below)
 
 
 def cst_expand(lam, n) -> MacdonaldResult:

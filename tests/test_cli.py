@@ -319,6 +319,28 @@ class TestGoldenDigests:
                 "f --n 5 --mu 0,1,0,2,1 --format json",
                 "95ac9bfc9320d08f302c447b4aa0bc725287bcaa0c46581fc4e83fd1b62fe150",
             ),
+            # the enumerators: walks with their path geometry, fillings of
+            # both kinds, and P by the tableau chains
+            (
+                "walks --n 3 --mu 0,2,1 --format json",
+                "483859d9caf1695d48822887968c51e3871e4d1b787b4a7ba99521c8acb8bd37",
+            ),
+            (
+                "walks --n 4 --mu 1,0,2,0 --z 2,1,4,3 --format json",
+                "c645cb9ad7df6b63684fdf4cea232ac183f9baa874ece35a59a10a32af747008",
+            ),
+            (
+                "fillings --n 4 --mu 0,1,2,1 --format json",
+                "160c53b67ed1d7c1228c566eae9713bd4671e7781e19ff241808b2e6a13e61ff",
+            ),
+            (
+                "fillings --n 3 --mu 2,2,0 --kind queue",
+                "86c7e7eb1d390039f4d68345244e4d3db4c10966bfe687da2ab4907715dd7299",
+            ),
+            (
+                "P --n 4 --lam 2,1,1,0 --method cst --format json",
+                "cbca6b048fcf010c9759e8f3b728797b68fddd5aeb49f984348c97bf42882d7c",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

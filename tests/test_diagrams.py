@@ -1,5 +1,6 @@
 """Diagram statistics, fillings, pipe dreams, walks, and the CST route."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -333,6 +334,27 @@ class TestPipeDreams:
         (f,) = enumerate_fillings((0, 0), (2, 1))
         assert pipedream_convert(f) == [[2], [1]]
 
+    @pytest.mark.parametrize(
+        "P",
+        [
+            # value 3 at (2, 1), where mu_2 = 0
+            pytest.param([[1, 1, 3], [2, 3, 0], [3, 2, 0]], id="outside-dg"),
+            # values 1 and 2 both at (1, 2)
+            pytest.param([[1, 1, 3], [2, 3, 1], [3, 0, 0]], id="box-twice"),
+            pytest.param([[2, 1, 3], [1, 3, 0], [3, 0, 0]], id="basement-not-z"),
+            pytest.param([[1, 1, 3], [2, 3, 0], [3, 4, 0]], id="row-index-4"),
+            pytest.param([[1, 1, 3], [2, 3, 0]], id="two-rows"),
+        ],
+    )
+    def test_invert_rejects_malformed(self, P):
+        # each P differs in one entry or row from the pipe dream of the
+        # filling (1, 2, 1) of dg(1, 0, 2) over the identity basement
+        mu, z = (1, 0, 2), (1, 2, 3)
+        good = [[1, 1, 3], [2, 3, 0], [3, 0, 0]]
+        assert pipedream_invert(good, mu, z) == Filling(mu, z, (1, 2, 1))
+        with pytest.raises(InvalidInputError):
+            pipedream_invert(P, mu, z)
+
 
 class TestWalks:
     def test_30_walks(self):
@@ -468,6 +490,45 @@ class TestPsiAndCST:
                 want.append(chain)
         assert column_strict_tableaux(lam, n) == want
 
+    @pytest.mark.parametrize(
+        "lam,n",
+        [
+            ((2, 1), 3),
+            ((3, 1, 1), 4),
+            ((2, 2), 5),
+            ((3, 2), 6),
+            ((2, 1, 1), 6),
+            ((4, 2), 4),
+            ((1, 1, 1, 1), 6),
+            ((3, 3), 3),
+            ((), 0),
+            ((0, 0), 0),
+            ((2,), 0),
+            ((1, 1), 1),
+            ((3, 3, 3), 2),
+            ((2, 1, 0, 0), 3),
+            ((3, 0), 1),
+            ((1, 1, 1, 0), 2),
+            ((2, 2, 1), 2),
+        ],
+    )
+    def test_tableaux_match_the_strip_oracle(self, lam, n):
+        # every sequence of n + 1 partitions inside lam from the empty one,
+        # linked by _strip_ok, that ends at lam, in order of the reversed
+        # chain
+        inside = [
+            p
+            for p in itertools.product(*(range(x + 1) for x in lam))
+            if list(p) == sorted(p, reverse=True)
+        ]
+        chains = [((0,) * len(lam),)]
+        for _ in range(n):
+            chains = [
+                c + (p,) for c in chains for p in inside if diagrams._strip_ok(p, c[-1])
+            ]
+        want = sorted((c for c in chains if c[-1] == lam), key=lambda c: c[::-1])
+        assert column_strict_tableaux(lam, n) == want
+
     def test_cst_matches_P(self):
         for n in (3, 4):
             for lam in partitions_in(n, 4):
@@ -563,3 +624,27 @@ class TestFillingWeight:
                 for z in itertools.permutations(range(1, n + 1)):
                     got = _filling_sum(mu, z)
                     assert got == compute_E_rel(mu, z).poly, (mu, z)
+
+
+def test_enumerators_leave_no_reference_cycle():
+    # a result list must be freed when the caller drops it, not held by a
+    # cycle (a recursive closure) until the cyclic collector runs
+    mu, z = (1, 0, 2, 1), (2, 1, 4, 3)
+
+    def run():
+        fillings = enumerate_fillings(mu, z)
+        queue = enumerate_fillings(mu, z, "queue")
+        chains = column_strict_tableaux((3, 1, 1), 4)
+        P = cst_expand((2, 1, 1), 4)
+        walks = [(w, walk_geometry(w)) for w in iter_walks(mu, z)]
+        trips = [pipedream_invert(pipedream_convert(T), mu, z) for T in fillings]
+        assert fillings and queue and chains and P.poly and walks and trips
+
+    run()  # builds the cached diagrams, geometry constants and strips
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
