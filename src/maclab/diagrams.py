@@ -8,6 +8,7 @@ cylindrical coordinates intersected with the extended diagram.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +21,8 @@ from . import permutations as fperm
 from .affine import AffineRoot, PeriodicPerm, _mul, box_greedy_word, boxes_of, u_stat
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, check_weight
-from .macdonald import MacdonaldResult, _poch
-from .ratfunc import RF_ONE, RF_T, RatFunc, one_minus
+from .macdonald import MacdonaldResult
+from .ratfunc import RF_ONE, RF_T, RING, RatFunc, one_minus
 
 # ---------------------------------------------------------------------------
 # diagrams and box statistics
@@ -254,15 +255,31 @@ def filling_word(T: Filling):
 # pipe dreams
 
 
+def _check_basement(z, n):
+    """z checked as a permutation of 1..n (`permutations.check_perm`).  As
+    `Diagram.of` does for a weight, the check is cached by z as given (a
+    list as its tuple), so each distinct basement is checked once."""
+    return _checked_basement(z if type(z) is tuple else tuple(z), n)
+
+
+@lru_cache(maxsize=1024)
+def _checked_basement(z, n):
+    return fperm.check_perm(z, n)
+
+
 def pipedream_convert(T: Filling):
     """P(k, j) = i iff T(i, j) = k, with 0 where k is absent; column 0 is
-    the basement."""
+    the basement.  The basement must be a permutation of 1..n and every
+    value lie in 1..n; anything else raises InvalidInputError."""
     d = Diagram.of(T.mu)
+    n = len(d.mu)
     width = max(d.mu, default=0) + 1
     P = [[0] * width for _ in d.mu]
-    for i, k in enumerate(T.z, start=1):
+    for i, k in enumerate(_check_basement(T.z, n), start=1):
         P[k - 1][0] = i
     for (i, j), v in zip(d.boxes, T.values):
+        if not 1 <= v <= n:
+            raise InvalidInputError(f"filling value {v} is not in 1..{n}")
         row = P[v - 1]
         if row[j]:
             raise InvalidInputError("filling is not column distinct")
@@ -277,7 +294,7 @@ def pipedream_invert(P, mu, z) -> Filling:
     indices in 1..n; anything else raises InvalidInputError."""
     d = Diagram.of(mu)
     n = len(d.mu)
-    z = fperm.check_perm(z, n)
+    z = _check_basement(z, n)
     if len(P) != n:
         raise InvalidInputError(f"pipe dream has {len(P)} rows, not {n}")
     values = [0] * len(d.boxes)
@@ -483,11 +500,18 @@ def psi_strip(lam, mu) -> RatFunc:
 
     Trailing zeros do not change it, and each strip is computed once.
     """
-    return _psi_strip(_trim(lam), _trim(mu))
+    exps = _psi_strip(_trim(lam), _trim(mu))
+    num = _binomials({f: k for f, k in exps.items() if k > 0})
+    den = _binomials({f: -k for f, k in exps.items() if k < 0})
+    return RatFunc(num, den)
 
 
 @lru_cache(maxsize=4096)
-def _psi_strip(lam, mu) -> RatFunc:
+def _psi_strip(lam, mu) -> Counter:
+    """psi_{lam/mu} as binomial exponents: {(a, b): k} stands for the
+    product of (1 - q^a t^b)^k.  Every factor of the q-Pochhammer
+    symbols has a, b >= 0 and (a, b) != (0, 0), and no k is zero.  The
+    Counter is shared: callers must not change it."""
     if list(lam) != sorted(lam, reverse=True) or list(mu) != sorted(
         mu, reverse=True
     ):
@@ -497,18 +521,29 @@ def _psi_strip(lam, mu) -> RatFunc:
     ell = len([x for x in mu if x > 0])
     lam_pad = list(lam) + [0] * (ell + 2)
     mu_pad = list(mu) + [0] * (ell + 2)
-    out = RF_ONE
+    out = Counter()
     for i in range(1, ell + 1):
         r = lam_pad[i - 1] - mu_pad[i - 1]
         if r == 0:
             continue
         for j in range(i, ell + 1):
             d = j - i
-            out = out * _poch(mu_pad[i - 1] - mu_pad[j - 1], d + 1, r)
-            out = out * _poch(mu_pad[i - 1] - lam_pad[j] + 1, d, r)
-            out = out / _poch(mu_pad[i - 1] - lam_pad[j], d + 1, r)
-            out = out / _poch(mu_pad[i - 1] - mu_pad[j - 1] + 1, d, r)
-    return out
+            for k in range(r):
+                out[mu_pad[i - 1] - mu_pad[j - 1] + k, d + 1] += 1
+                out[mu_pad[i - 1] - lam_pad[j] + 1 + k, d] += 1
+                out[mu_pad[i - 1] - lam_pad[j] + k, d + 1] -= 1
+                out[mu_pad[i - 1] - mu_pad[j - 1] + 1 + k, d] -= 1
+    return Counter({f: k for f, k in out.items() if k})
+
+
+def _binomials(exps):
+    """The product of (1 - q^a t^b)^k over {(a, b): k} with every k >= 0,
+    in Z[q, v]: each factor multiplies in as p - p q^a v^(2b)."""
+    p = RING.one
+    for (a, b), k in exps.items():
+        for _ in range(k):
+            p = p - p.mul_monom((a, 2 * b))
+    return p
 
 
 def column_strict_tableaux(lam, n):
@@ -564,21 +599,41 @@ def _strip_chains(chain, steps, out, below):
 
 
 def cst_expand(lam, n) -> MacdonaldResult:
-    """P_lambda = sum over column strict tableaux of psi_T x^T."""
+    """P_lambda = sum over column strict tableaux T of psi_T x^T.
+
+    psi_T is the product of its strips' psi, added up as binomial
+    exponents.  The tableaux of one weight x^T are summed in Z[q, v]
+    over one denominator, each binomial at the largest multiplicity any
+    of them has in its denominator, so the field makes one RatFunc per
+    coefficient, not one per q-Pochhammer factor.
+    """
     lam = check_weight(lam, nonneg=True)
     if len([x for x in lam if x > 0]) > n:
         raise InvalidInputError("shape has more rows than variables")
-    out = LaurentPoly.zero(n)
+    by_weight = {}
     for chain in column_strict_tableaux(lam, n):
-        psi = RF_ONE
+        psi = Counter()
         weight = []
         for step in range(1, n + 1):
             prev, cur = chain[step - 1], chain[step]
-            psi = psi * psi_strip(cur, prev)
+            psi.update(_psi_strip(_trim(cur), _trim(prev)))
             weight.append(sum(cur) - sum(prev))
-        out = out + LaurentPoly.monomial(tuple(weight), psi)
+        by_weight.setdefault(tuple(weight), []).append(psi)
+    terms = {}
+    for weight, psis in by_weight.items():
+        den = Counter()
+        for psi in psis:
+            for f, k in psi.items():
+                if -k > den[f]:
+                    den[f] = -k
+        num = RING.zero
+        for psi in psis:
+            lifted = Counter(den)
+            lifted.update(psi)
+            num = num + _binomials(lifted)
+        terms[weight] = RatFunc(num, _binomials(den))
     mu_full = tuple(list(lam) + [0] * (n - len(lam))) if len(lam) < n else lam[:n]
-    return MacdonaldResult(mu_full, out, "cst")
+    return MacdonaldResult(mu_full, LaurentPoly(n, terms), "cst")
 
 
 # ---------------------------------------------------------------------------

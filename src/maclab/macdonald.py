@@ -1,9 +1,15 @@
 """Macdonald polynomials E_mu, E_mu^z, f_mu, F_mu and P_lambda.
 
 E_mu is built by walking the box-greedy word of u_mu from the constant
-polynomial: a pi letter applies g_vee, an s_i letter applies the
-intertwiner step t^(1/2) T_i + (1 - t)/(1 - a_nu), and each new leading
-coefficient is normalized to 1.  The walk runs on integer numerators
+polynomial.  An s_i letter applies the intertwiner step
+t^(1/2) T_i + (1 - t)/(1 - a_nu).  A pi letter is the Knop-Sahi
+recurrence E_(Phi nu) = q^(nu_n) x_1 (g E_nu), with
+Phi nu = (nu_n + 1, nu_1, ..., nu_(n-1)) (Knop, Integrality of two
+variable Kostka functions, J. reine angew. Math. 1997; Sahi,
+Interpolation, integrality, and a generalization of Macdonald's
+polynomials, IMRN 1996): it rotates the exponents, shifts by powers of
+q and multiplies by x_1, so it runs no T_i and leaves E monic with no
+leading coefficient to divide out.  The walk runs on integer numerators
 over one shared denominator, and that form (S, N) is cached (`_E_form`);
 E_mu is its join.
 
@@ -85,25 +91,30 @@ def _E_form(mu):
     """E_mu as (S, N) with E_mu = S * sum N_e x^e (see hecke._split): S
     is one RatFunc and each N_e lies in Z[q, v].  The result is shared,
     so N is a read-only view: consumers run their letters into new
-    dicts."""
+    dicts.
+
+    The pi letter is x_1 g, not g_vee = x_1 T_1 ... T_(n-1): by the
+    Knop-Sahi recurrence E_(Phi nu) = q^(nu_n) x_1 (g E_nu), both give
+    E_(Phi nu) up to a scalar, and for x_1 g that scalar is the known
+    power q^(nu_n).  So the letter costs a rotation instead of n - 1
+    T letters, and E stays monic without a leading coefficient to look
+    up and divide out; one check at the end confirms it.
+    """
     n = len(mu)
     nu = (0,) * n
     S, N = RF_ONE, {nu: RING.one}
     for letter in reversed(box_greedy_word(mu)):
         if letter == "pi":
-            # g_vee up to a scalar, which the normalization absorbs
-            N = hecke._gvee(N, n)
+            N, k = hecke._g(N, False)
+            N = {(e[0] + 1,) + e[1:]: p for e, p in N.items()}
+            S = S * RatFunc.q_power(k + nu[-1])
             nu = (nu[-1] + 1,) + nu[:-1]
-            lead = N.get(nu)
-            if lead is None:
-                raise InvariantViolation(f"vanishing leading term at {nu}")
-            # E_nu is monic, so g_vee's leading coefficient S * lead is a
-            # monomial: cancelling lead against the factors of S avoids
-            # factoring it afresh
-            lc = S * RatFunc(lead)
-            # equal numerators are common: divide each distinct one once
+            # without this the numerators keep every factor that the s
+            # letters put in and that S could take back: at n = 6 they
+            # grow about fivefold.  Equal numerators are common: divide
+            # each distinct one once
             distinct = list(dict.fromkeys(N.values()))
-            S, quos = _cancel_common(S / lc, distinct)
+            S, quos = _cancel_common(S, distinct)
             quo = dict(zip(distinct, quos))
             N = {e: quo[p] for e, p in N.items()}
         else:
@@ -123,6 +134,9 @@ def _E_form(mu):
             nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
     if nu != mu:
         raise InvariantViolation(f"walk ended at {nu}, wanted {mu}")
+    lead = N.get(mu)
+    if lead is None or not (S * RatFunc(lead)).is_one():
+        raise InvariantViolation(f"E_{mu} is not monic at x^{mu}")
     return S, MappingProxyType(N)
 
 
@@ -151,15 +165,22 @@ def compute_E_rel(mu, z) -> MacdonaldResult:
     return MacdonaldResult(mu, f, "operator-chain", z)
 
 
-def compute_f(mu) -> MacdonaldResult:
-    """f_mu = t^(l(z_mu)/2) T_{z_mu} E_lambda, the KZ-family member."""
-    mu = check_weight(mu, nonneg=True)
+def _f_form(mu):
+    """(S, N, z) with f_mu = S * sum N_e x^e: the reduced word of z = z_mu
+    run on the numerators of E_lambda, over E_lambda's S."""
     lam = tuple(sorted(mu, reverse=True))
     z = fperm.min_coset_rep(mu)
     S, N = _E_form(lam)
-    letters = [("tT", i) for i in reversed(fperm.reduced_word(z))]
-    f = hecke._run(len(mu), S, N, letters)
-    return MacdonaldResult(mu, f, "operator-chain", z)
+    for i in reversed(fperm.reduced_word(z)):
+        N = hecke._tT(i, N)
+    return S, N, z
+
+
+def compute_f(mu) -> MacdonaldResult:
+    """f_mu = t^(l(z_mu)/2) T_{z_mu} E_lambda, the KZ-family member."""
+    mu = check_weight(mu, nonneg=True)
+    S, N, z = _f_form(mu)
+    return MacdonaldResult(mu, hecke._run(len(mu), S, N, []), "operator-chain", z)
 
 
 def _orbit_numerators(lam, N):
@@ -520,11 +541,13 @@ def verify_kz(lam) -> list:
         raise InvalidInputError(f"{lam} is not weakly decreasing")
     n = len(lam)
     orbit = fperm.weight_orbit(lam)
-    fs = {nu: compute_f(nu).poly for nu in orbit}
+    # the letters run on each f_nu's numerators, so nothing is split again
+    forms = {nu: _f_form(nu)[:2] for nu in orbit}
+    fs = {nu: hecke._run(n, *forms[nu], []) for nu in orbit}
     out = []
     for nu in orbit:
         for i in range(1, n):
-            got = hecke.apply_tT(i, fs[nu])
+            got = hecke._run(n, *forms[nu], [("tT", i)])
             snu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
             if nu[i - 1] > nu[i]:
                 want = fs[snu]
@@ -536,7 +559,7 @@ def verify_kz(lam) -> list:
                 want = fs[snu].scale(RF_T) + fs[nu].scale(RF_T - RF_ONE)
                 name = f"t^1/2 T_{i} f_{nu} (ascent case)"
             out.append(_check(name, got, want))
-        got = hecke.apply_g(fs[nu])
+        got = hecke._run(n, *forms[nu], [("g", None)])
         cyc = (nu[-1],) + nu[:-1]
         want = fs[cyc].scale(RatFunc.q_power(-nu[-1]))
         out.append(_check(f"g f_{nu} = q^-{nu[-1]} f_{cyc}", got, want))

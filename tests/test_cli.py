@@ -341,6 +341,16 @@ class TestGoldenDigests:
                 "P --n 4 --lam 2,1,1,0 --method cst --format json",
                 "cbca6b048fcf010c9759e8f3b728797b68fddd5aeb49f984348c97bf42882d7c",
             ),
+            # n = 6 and the tableau route at n = 5, which no benchmark
+            # workload reaches
+            (
+                "E --n 6 --mu 2,1,3,0,4,1 --format json",
+                "99041a653ff1e3eb2d201d67a3c5d315e657c8568496bd49a21c66d373a9494e",
+            ),
+            (
+                "P --n 5 --lam 3,1,1,1,0 --method cst --format json",
+                "a5c032afdd64ad260fd7d0ec535153b896a2606e950d22716130242fcfa27086",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -335,6 +335,43 @@ class TestPipeDreams:
         assert pipedream_convert(f) == [[2], [1]]
 
     @pytest.mark.parametrize(
+        "T",
+        [
+            pytest.param(Filling((1, 0), (1, 2), (0,)), id="value-0"),
+            pytest.param(Filling((1, 0), (1, 2), (3,)), id="value-3"),
+            pytest.param(Filling((1, 0), (1, 5), (1,)), id="z-not-a-permutation"),
+        ],
+    )
+    def test_convert_rejects_malformed(self, T):
+        with pytest.raises(InvalidInputError):
+            pipedream_convert(T)
+
+    def test_each_basement_checked_once(self, monkeypatch):
+        mu, z = (1, 0, 2), (2, 3, 1)
+        fillings = enumerate_fillings(mu, z)
+        seen = []
+        real = fperm.check_perm
+
+        def counting(w, n=None):
+            seen.append(tuple(w))
+            return real(w, n)
+
+        monkeypatch.setattr(fperm, "check_perm", counting)
+        diagrams._checked_basement.cache_clear()
+        try:
+            for T in fillings:
+                assert pipedream_invert(pipedream_convert(T), mu, z) == T
+            # a list is keyed by its tuple; a bad z is refused on every call
+            pipedream_invert(pipedream_convert(fillings[0]), mu, list(z))
+            assert seen == [z]
+            for _ in range(2):
+                with pytest.raises(InvalidInputError):
+                    pipedream_invert(pipedream_convert(fillings[0]), mu, [2, 3, 3])
+            assert seen == [z, (2, 3, 3), (2, 3, 3)]
+        finally:
+            diagrams._checked_basement.cache_clear()
+
+    @pytest.mark.parametrize(
         "P",
         [
             # value 3 at (2, 1), where mu_2 = 0
@@ -429,6 +466,35 @@ class TestPsiAndCST:
             * one_minus(RatFunc.qt_monomial(1, 1))
         )
         assert got == want
+
+    def test_psi_binomials_match_the_pochhammer_product(self):
+        # every horizontal strip lam/mu of partitions with at most 4 parts
+        # and |lam| <= 6, against the four q-Pochhammer symbols multiplied
+        # in the field one at a time
+        def pochhammers(lam, mu):
+            ell = len([x for x in mu if x > 0])
+            lp_ = list(lam) + [0] * (ell + 2)
+            mp = list(mu) + [0] * (ell + 2)
+            out = RF_ONE
+            for i in range(1, ell + 1):
+                r = lp_[i - 1] - mp[i - 1]
+                for j in range(i, ell + 1):
+                    d = j - i
+                    out = out * macdonald._poch(mp[i - 1] - mp[j - 1], d + 1, r)
+                    out = out * macdonald._poch(mp[i - 1] - lp_[j] + 1, d, r)
+                    out = out / macdonald._poch(mp[i - 1] - lp_[j], d + 1, r)
+                    out = out / macdonald._poch(mp[i - 1] - mp[j - 1] + 1, d, r)
+            return out
+
+        shapes = [
+            p
+            for p in itertools.product(range(7), repeat=4)
+            if sum(p) <= 6 and list(p) == sorted(p, reverse=True)
+        ]
+        strips = [(a, b) for a in shapes for b in shapes if diagrams._strip_ok(a, b)]
+        assert len(strips) > 100
+        for lam, mu in strips:
+            assert psi_strip(lam, mu) == pochhammers(lam, mu), (lam, mu)
 
     def test_cst_single_row(self):
         got = cst_expand((1,), 4).poly

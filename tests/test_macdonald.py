@@ -6,6 +6,7 @@ assertion showing the variant differs from the value forced by the
 defining eigenvalue property and the intertwiner chains.
 """
 
+import itertools
 import random
 
 import pytest
@@ -14,8 +15,8 @@ from conftest import Q, T, compositions, frac, lp, partitions_in
 from maclab import hecke
 from maclab import permutations as fperm
 from maclab.affine import box_greedy_word
-from maclab.errors import InvalidInputError
-from maclab.laurent import LaurentPoly
+from maclab.errors import InvalidInputError, InvariantViolation
+from maclab.laurent import LaurentPoly, _acc
 from maclab.macdonald import (
     _E_form,
     closed_column,
@@ -34,7 +35,7 @@ from maclab.macdonald import (
     verify_haction,
     verify_kz,
 )
-from maclab.ratfunc import RF_ONE, RatFunc, one_minus
+from maclab.ratfunc import RF_ONE, RING, RatFunc, _cancel_common, one_minus
 
 A = frac(1, 1)  # (1-t)/(1-qt)
 B = one_minus(T) / one_minus(RatFunc.qt_monomial(2, 2))  # (1-t)/(1-q^2 t^2)
@@ -586,6 +587,68 @@ class TestWalkOnNumerators:
     )
     def test_matches_field_walk(self, mu):
         assert compute_E(mu).poly == reference_walk(mu)
+
+
+def gvee_walk(mu):
+    """E_mu by the numerator walk with g_vee as the pi letter: n - 1 T
+    letters and x_1, then the leading coefficient divided out."""
+    n = len(mu)
+    nu = (0,) * n
+    S, N = RF_ONE, {nu: RING.one}
+    for letter in reversed(box_greedy_word(mu)):
+        if letter == "pi":
+            N = hecke._gvee(N, n)
+            nu = (nu[-1] + 1,) + nu[:-1]
+            distinct = list(dict.fromkeys(N.values()))
+            S, quos = _cancel_common(S / (S * RatFunc(N[nu])), distinct)
+            quo = dict(zip(distinct, quos))
+            N = {e: quo[p] for e, p in N.items()}
+        else:
+            i = int(letter[1:])
+            scalar = one_minus(T) / one_minus(eigen_data(nu, i).a_mu)
+            num, den = scalar.num, scalar.den
+            out = {e: den * p for e, p in hecke._tT(i, N).items()}
+            for e, p in N.items():
+                _acc(out, e, num * p)
+            N = out
+            S = S / RatFunc(den)
+            nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
+    return hecke._run(n, S, N, [])
+
+
+class TestKnopSahiPiLetter:
+    """The walk's pi letter is x_1 g with the scalar q^(nu_n) (Knop,
+    Sahi); the g_vee pi letter with its leading coefficient divided out
+    is its oracle."""
+
+    def test_matches_gvee_walk(self):
+        weights = [
+            mu
+            for n in (2, 3, 4)
+            for mu in itertools.product(range(4), repeat=n)
+            if sum(mu) <= 6
+        ]
+        assert len(weights) == 220
+        for mu in weights:
+            assert compute_E(mu).poly == gvee_walk(mu), mu
+
+    def test_pi_letters_cancel_common_factors(self):
+        # without the common cancellation after each pi letter the
+        # numerators of E_(1,0,3,4) hold 14,944 terms, against 2,672
+        # with it (and those of E_(0,0,1,2,3,4) nine times as many)
+        S, N = _E_form((1, 0, 3, 4))
+        assert sum(map(len, N.values())) < 4000
+
+    def test_corrupt_pi_letter_fails_the_monic_check(self, monkeypatch):
+        real = hecke._g
+
+        def off_by_q(N, inverse):
+            N, k = real(N, inverse)
+            return N, k + 1
+
+        monkeypatch.setattr(hecke, "_g", off_by_q)
+        with pytest.raises(InvariantViolation, match="not monic"):
+            _E_form.__wrapped__((0, 1, 2))
 
 
 class TestNumeratorForm:
