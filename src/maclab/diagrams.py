@@ -200,51 +200,102 @@ class Filling:
         }
 
 
-def _qt_run_excluded(mu, z, fill, i, j):
-    """Values excluded at (i, j) by the queue-tableau run condition."""
-    out = set()
-    r = i - 1
-    while r >= 1 and mu[r - 1] == mu[i - 1]:
-        out.add(fill.get((r, j - 1)) if j - 1 >= 1 else z[r - 1])
-        r -= 1
-    return out
+# the frozen dataclass's __init__ sets each field through
+# object.__setattr__; the slot descriptors set them at about half the cost
+_SET_MU, _SET_Z, _SET_VALUES, _SET_KIND = (
+    Filling.__dict__[f].__set__ for f in ("mu", "z", "values", "kind")
+)
+
+
+def _filling(mu, z, values, kind):
+    """A Filling from parts that are already checked, as
+    Filling(mu, z, values, kind) would make it."""
+    T = object.__new__(Filling)
+    _SET_MU(T, mu)
+    _SET_Z(T, z)
+    _SET_VALUES(T, values)
+    _SET_KIND(T, kind)
+    return T
 
 
 def enumerate_fillings(mu, z, kind: str = "nonattacking"):
-    """All fillings in cylindrical box order, values chosen ascending."""
+    """All fillings of dg(mu) over the basement z, nonattacking or (kind
+    'queue') queue tableaux, values in cylindrical box order, in
+    lexicographic order of their values.
+
+    One table gives each box the values its basement attackers leave it
+    and the positions of the earlier boxes it must differ from: its
+    attackers and, for a queue tableau, the boxes left of the rows of
+    equal length just above it (the run rule).  The search fills one
+    flat list of values, depth first and without recursion, and emits
+    the last box's values in one sweep.
+    """
     d = Diagram.of(mu)
-    z = fperm.check_perm(z, len(d.mu))
+    n = len(d.mu)
+    z = fperm.check_perm(z, n)
     if kind not in ("nonattacking", "queue"):
         raise InvalidInputError(f"unknown filling kind {kind!r}")
+    allowed, earlier = _search_table(d, z, kind == "queue")
+    mu, m = d.mu, len(allowed)
+    if not m:
+        return [_filling(mu, z, (), kind)]
     out = []
-    _backtrack(d, z, kind, {}, out)
+    values = [0] * m
+    last = m - 1
+    todo = [None] * m  # per position, the values not yet tried there
+    k = 0
+    while k >= 0:
+        if k == last:
+            head = tuple(values[:last])
+            taken = {values[p] for p in earlier[k]}
+            for v in allowed[k]:
+                if v not in taken:
+                    out.append(_filling(mu, z, head + (v,), kind))
+            k -= 1
+            continue
+        left = todo[k]
+        if left is None:
+            taken = {values[p] for p in earlier[k]}
+            left = todo[k] = iter([v for v in allowed[k] if v not in taken])
+        v = next(left, 0)
+        if v:
+            values[k] = v
+            k += 1
+        else:
+            todo[k] = None
+            k -= 1
     return out
 
 
-def _backtrack(d, z, kind, fill, out):
-    """Fill the boxes of d from box len(fill) on, appending each finished
-    Filling to out.  A module-level function, so that no closure cycle
-    keeps out alive after the caller drops it."""
-    k = len(fill)
-    if k == len(d.boxes):
-        # each level deletes its box before the one above moves on, so
-        # fill's insertion order is the box order
-        out.append(Filling(d.mu, z, tuple(fill.values()), kind))
-        return
-    i, j = box = d.boxes[k]
-    banned = {z[i2 - 1] if j2 == 0 else fill[i2, j2] for i2, j2 in d.attack[box]}
-    if kind == "queue":
-        banned |= _qt_run_excluded(d.mu, z, fill, i, j)
-    for val in range(1, len(z) + 1):
-        if val not in banned:
-            fill[box] = val
-            _backtrack(d, z, kind, fill, out)
-            del fill[box]
+def _search_table(d, z, queue):
+    """Per box of d in cylindrical order: the values in 1..n that its
+    basement attackers (and, for a queue tableau, the basement cells of
+    the run rule) leave it, ascending, and the positions of the earlier
+    boxes whose values it may not take.
+
+    The run rule: a box (i, j) differs from (r, j - 1) for each row r
+    above i in the run of rows r < i with mu_r = mu_i that ends at i;
+    column 0 is the basement."""
+    mu, n = d.mu, len(d.mu)
+    allowed, earlier = [], []
+    for box in d.boxes:
+        i, j = box
+        cells = list(d.attack[box])
+        r = i - 1
+        while queue and r >= 1 and mu[r - 1] == mu[i - 1]:
+            cells.append((r, j - 1))
+            r -= 1
+        banned = {z[i2 - 1] for i2, j2 in cells if j2 == 0}
+        allowed.append(tuple(v for v in range(1, n + 1) if v not in banned))
+        earlier.append(tuple({d.index[w] for w in cells if w[1]}))
+    return allowed, earlier
 
 
 def filling_word(T: Filling):
     """The word of T (variable indices in cylindrical box order) and the
-    endpoint sum of the corresponding straight-line path."""
+    endpoint sum of the corresponding straight-line path.  T must be
+    well formed (see `pipedream_convert`)."""
+    _checked_plan(T)
     endpoint = [0] * len(T.mu)
     for v in T.values:
         endpoint[v - 1] += 1
@@ -255,46 +306,90 @@ def filling_word(T: Filling):
 # pipe dreams
 
 
-def _check_basement(z, n):
-    """z checked as a permutation of 1..n (`permutations.check_perm`).  As
-    `Diagram.of` does for a weight, the check is cached by z as given (a
-    list as its tuple), so each distinct basement is checked once."""
-    return _checked_basement(z if type(z) is tuple else tuple(z), n)
+def _plan(mu, z):
+    """What every pipe dream of dg(mu) over the basement z shares, keyed
+    by mu and z as given (a list as its tuple), so that each distinct
+    (mu, z) is checked and laid out once.  See `_pipe_plan`."""
+    return _pipe_plan(
+        mu if type(mu) is tuple else tuple(mu), z if type(z) is tuple else tuple(z)
+    )
 
 
 @lru_cache(maxsize=1024)
-def _checked_basement(z, n):
-    return fperm.check_perm(z, n)
+def _pipe_plan(mu, z):
+    """(d, z, values, width, template, cells, slot) for dg(mu) over the
+    basement z:
+
+    - d is `Diagram.of(mu)` and z is checked as a permutation of 1..n;
+    - values is the set 1..n;
+    - width = max(mu) + 1 is the number of columns of a pipe dream;
+    - template is a pipe dream with n rows laid out flat: row k holds in
+      column 0 the i with z(i) = k, and 0 elsewhere;
+    - cells[b] = (i, at) for box b = (i, j), where at[v] is the flat
+      position of (v, j) for each value v in 1..n (at[0] is unused);
+    - slot[j * (n + 1) + i] is the index of box (i, j) for 1 <= j < width
+      and 0 <= i <= n, and -1 where (i, j) is not a box.
+    Nothing here may change after it is built.
+    """
+    d = Diagram.of(mu)
+    n = len(d.mu)
+    z = fperm.check_perm(z, n)
+    width = max(d.mu, default=0) + 1
+    template = [0] * (n * width)
+    for i, k in enumerate(z, start=1):
+        template[(k - 1) * width] = i
+    cells = tuple(
+        (i, tuple(range(j - width, n * width, width))) for i, j in d.boxes
+    )
+    slot = [-1] * (width * (n + 1))
+    for b, (i, j) in enumerate(d.boxes):
+        slot[j * (n + 1) + i] = b
+    return d, z, frozenset(range(1, n + 1)), width, template, cells, slot
+
+
+def _checked_plan(T: Filling):
+    """The plan of T's (mu, z), once T is checked: z a permutation of
+    1..n, one value per box of dg(mu) and every value in 1..n.  Anything
+    else raises InvalidInputError."""
+    plan = _plan(T.mu, T.z)
+    d, _, allowed = plan[:3]
+    values = T.values
+    if len(values) != len(d.boxes):
+        raise InvalidInputError(
+            f"filling has {len(values)} values for the {len(d.boxes)} boxes of dg({d.mu})"
+        )
+    if not allowed.issuperset(values):
+        v = next(v for v in values if v not in allowed)
+        raise InvalidInputError(f"filling value {v} is not in 1..{len(d.mu)}")
+    return plan
 
 
 def pipedream_convert(T: Filling):
     """P(k, j) = i iff T(i, j) = k, with 0 where k is absent; column 0 is
-    the basement.  The basement must be a permutation of 1..n and every
-    value lie in 1..n; anything else raises InvalidInputError."""
-    d = Diagram.of(T.mu)
-    n = len(d.mu)
-    width = max(d.mu, default=0) + 1
-    P = [[0] * width for _ in d.mu]
-    for i, k in enumerate(_check_basement(T.z, n), start=1):
-        P[k - 1][0] = i
-    for (i, j), v in zip(d.boxes, T.values):
-        if not 1 <= v <= n:
-            raise InvalidInputError(f"filling value {v} is not in 1..{n}")
-        row = P[v - 1]
-        if row[j]:
+    the basement.  T must be well formed: its basement a permutation of
+    1..n, one value per box of dg(mu), every value in 1..n and the values
+    of each column distinct; anything else raises InvalidInputError.
+
+    Each box writes one entry into a copy of the (mu, z) plan's template,
+    at the flat position the plan keeps for its value."""
+    *_, width, template, cells, _ = _checked_plan(T)
+    P = template.copy()
+    for (i, at), v in zip(cells, T.values):
+        f = at[v]
+        if P[f]:
             raise InvalidInputError("filling is not column distinct")
-        row[j] = i
-    return P
+        P[f] = i
+    return [P[r : r + width] for r in range(0, len(P), width)]
 
 
 def pipedream_invert(P, mu, z) -> Filling:
     """The filling T with T(i, j) = k iff P(k, j) = i, inverting
     `pipedream_convert`.  P must have n rows, row k starting with the i
     of z(i) = k, and name each box of dg(mu) exactly once, with row
-    indices in 1..n; anything else raises InvalidInputError."""
-    d = Diagram.of(mu)
+    indices in 1..n; anything else raises InvalidInputError.  Boxes are
+    found in the (mu, z) plan's slot table."""
+    d, z, *_, slot = _plan(mu, z)
     n = len(d.mu)
-    z = _check_basement(z, n)
     if len(P) != n:
         raise InvalidInputError(f"pipe dream has {len(P)} rows, not {n}")
     values = [0] * len(d.boxes)
@@ -302,21 +397,23 @@ def pipedream_invert(P, mu, z) -> Filling:
         # column 0 holds the i with z(i) = k
         if not row or not 1 <= row[0] <= n or z[row[0] - 1] != k:
             raise InvalidInputError(f"pipe dream row {k} disagrees with z in column 0")
-        for j in range(1, len(row)):
-            i = row[j]
-            if not i:
-                continue
-            if not 1 <= i <= n:
-                raise InvalidInputError(f"pipe dream row index {i} is not in 1..{n}")
-            b = d.index.get((i, j))
-            if b is None:
-                raise InvalidInputError(f"pipe dream names {(i, j)}, not a box of dg({d.mu})")
-            if values[b]:
-                raise InvalidInputError(f"pipe dream names box {(i, j)} twice")
-            values[b] = k
+        base = 0  # the slot of (0, j), for the entry i in column j
+        for i in row:
+            if i and base:
+                if not 1 <= i <= n:
+                    raise InvalidInputError(f"pipe dream row index {i} is not in 1..{n}")
+                b = slot[base + i] if base < len(slot) else -1
+                if b < 0:
+                    raise InvalidInputError(
+                        f"pipe dream names {(i, base // (n + 1))}, not a box of dg({d.mu})"
+                    )
+                if values[b]:
+                    raise InvalidInputError(f"pipe dream names box {(i, base // (n + 1))} twice")
+                values[b] = k
+            base += n + 1
     if 0 in values:
         raise InvalidInputError(f"pipe dream misses box {d.boxes[values.index(0)]}")
-    return Filling(d.mu, z, tuple(values))
+    return _filling(d.mu, z, tuple(values), "nonattacking")
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +518,10 @@ class PathRealization:
 @lru_cache(maxsize=None)
 def _walk_constants(n):
     """What every walk in rank n shares: the omega segment (1/n, ..., 1/n),
-    the crossing segment along the coroot e_a - e_b for each a != b, and
-    rho."""
+    rho, the crossing segment along the coroot e_a - e_b for each a != b,
+    and two tables that fill as walks meet their entries: the fold
+    segments by (a, b, level), and the steps by window entries (see
+    `_walk_step`)."""
     zero, one = Fraction(0), Fraction(1)
     cross = {}
     for a in range(1, n + 1):
@@ -433,35 +532,52 @@ def _walk_constants(n):
                 cross[a, b] = PathSegment("c", tuple(e))
     omega = PathSegment("omega", (Fraction(1, n),) * n)
     rho = tuple(Fraction(n - 1, 2) - a for a in range(n))
-    return omega, cross, rho
+    return omega, rho, cross, {}, {}
+
+
+def _walk_step(n, wi, wi1):
+    """The (crossing, fold) segments of an s_i step from an alcove whose
+    window holds wi, wi1 at i, i + 1.  With a, b their residues, both run
+    along e_a - e_b, and the fold carries the root e_b - e_a + level K,
+    level = floor((wi - 1) / n) - floor((wi1 - 1) / n).  Kept in the
+    rank-n steps table."""
+    _, _, cross, folds, steps = _walk_constants(n)
+    a, b = (wi - 1) % n + 1, (wi1 - 1) % n + 1
+    key = a, b, (wi - 1) // n - (wi1 - 1) // n
+    fold = folds.get(key)
+    if fold is None:
+        fold = folds[key] = PathSegment("f", cross[a, b].direction, AffineRoot(b, a, key[2]))
+    step = steps[wi, wi1] = cross[a, b], fold
+    return step
+
+
+@lru_cache(maxsize=1024)
+def _letter_indices(word):
+    """i for each letter s_i of a walk's word, and 0 for pi."""
+    return tuple(0 if L == "pi" else int(L[1:]) for L in word)
 
 
 def walk_geometry(walk: AlcoveWalk) -> PathRealization:
     """Per-step path segments: omega for pi, c/f in direction of the
     moved coroot, fold steps also carrying their hyperplane root.
 
-    The omega segment, the crossing segments (whose directions the folds
-    share) and rho are built once per n and shared by every walk (all are immutable), so a
-    walk makes no Fraction: only its segment tuple and, per fold, the
-    fold's segment and root.
+    Every segment and rho is built once per n and shared by every walk
+    (all are immutable), each step is looked up by the two window
+    entries it moves, and the letters of a word are read once, so a walk
+    makes only its segment tuple.
     """
     n = len(walk.mu)
-    omega, cross, rho = _walk_constants(n)
-    segments = []
+    omega, rho, _, _, steps = _walk_constants(n)
+    out = []
     folds = iter(walk.folds)
-    for L, p in zip(walk.word, walk.states):
-        if L == "pi":
-            segments.append(omega)
+    for i, p in zip(_letter_indices(walk.word), walk.states):
+        if not i:
+            out.append(omega)
             continue
-        i = int(L[1:])
-        wi, wi1 = p.window[i - 1], p.window[i]
-        vi, vi1 = (wi - 1) % n + 1, (wi1 - 1) % n + 1
-        if next(folds):
-            root = AffineRoot(vi1, vi, (wi - vi) // n - (wi1 - vi1) // n)
-            segments.append(PathSegment("f", cross[vi, vi1].direction, root))
-        else:
-            segments.append(cross[vi, vi1])
-    return PathRealization(walk, tuple(segments), rho)
+        w = p.window
+        step = steps.get((w[i - 1], w[i])) or _walk_step(n, w[i - 1], w[i])
+        out.append(step[next(folds)])
+    return PathRealization(walk, tuple(out), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +773,10 @@ def filling_weight(T: Filling) -> RatFunc:
       (1-t) / (1 - q^(nleg+1) t^(narm+1)) * q^(nleg+1 if T(u) > L) * t^k
 
     with nleg, narm and the arm set of `Diagram`; k counts the boxes w of
-    the arm set of u with (L, T(u), T(w)) cyclically increasing.
+    the arm set of u with (L, T(u), T(w)) cyclically increasing.  T must
+    be well formed (see `pipedream_convert`).
     """
-    d = Diagram.of(T.mu)
+    d = _checked_plan(T)[0]
     out = RF_ONE
     for (i, j), a in zip(d.boxes, T.values):
         left = T.value(i, j - 1)

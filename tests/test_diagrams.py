@@ -10,9 +10,12 @@ import pytest
 from conftest import Q, T, compositions, frac, partitions_in
 from maclab import diagrams, macdonald
 from maclab import permutations as fperm
+from maclab.affine import AffineRoot
 from maclab.diagrams import (
     Diagram,
     Filling,
+    PathRealization,
+    PathSegment,
     box_stats,
     boxes_of,
     column_strict_tableaux,
@@ -267,6 +270,40 @@ class TestFillings:
                     r - 1
                 )
 
+    @pytest.mark.parametrize("n, size", [(3, 4), (4, 3)])
+    def test_search_matches_brute_force(self, n, size):
+        # every value tuple in {1..n}^|mu| in lexicographic order, kept when
+        # no box shares its value with a cell of the extended diagram at the
+        # n - 1 coordinates before it and, for queue tableaux, with (r, j - 1)
+        # for each row r above i in the run of equal rows mu_r = mu_i ending
+        # at i (column 0 is the basement)
+        def kept(mu, z, values, queue):
+            boxes = sorted(boxes_of(mu), key=lambda b: b[0] + n * b[1])
+            T = dict(zip(boxes, values))
+            T.update({(i, 0): z[i - 1] for i in range(1, n + 1)})
+            for i, j in boxes:
+                for (r, c), v in T.items():
+                    if (i + n * j) - n < r + n * c < i + n * j and v == T[i, j]:
+                        return False
+                r = i - 1
+                while queue and r >= 1 and mu[r - 1] == mu[i - 1]:
+                    if T[r, j - 1] == T[i, j]:
+                        return False
+                    r -= 1
+            return True
+
+        for mu in compositions(n, size):
+            for z in itertools.permutations(range(1, n + 1)):
+                for kind in ("nonattacking", "queue"):
+                    want = [
+                        v
+                        for v in itertools.product(range(1, n + 1), repeat=sum(mu))
+                        if kept(mu, z, v, kind == "queue")
+                    ]
+                    got = enumerate_fillings(mu, z, kind)
+                    assert [T.values for T in got] == want, (mu, z, kind)
+                    assert all(T == Filling(mu, z, T.values, kind) for T in got)
+
 
 class TestFillingWords:
     def test_words_201(self):
@@ -283,6 +320,20 @@ class TestFillingWords:
         word, endpoint = filling_word(f)
         assert word == (1,)
         assert endpoint == (1, 0, 0)
+
+
+# each refused by the check that pipedream_convert, filling_weight and
+# filling_word share: one value per box of dg(mu), each in 1..n, and a
+# basement that is a permutation
+MALFORMED_FILLINGS = [
+    pytest.param(Filling((1, 0), (1, 2), (0,)), id="value-0"),
+    pytest.param(Filling((1, 0), (1, 2), (3,)), id="value-3"),
+    pytest.param(Filling((1, 0), (1, 2), (7,)), id="value-7"),
+    pytest.param(Filling((1, 0), (1, 5), (1,)), id="z-not-a-permutation"),
+    pytest.param(Filling((1, 0), (1, 1), (1,)), id="z-repeats"),
+    pytest.param(Filling((1, 0), (1, 2), ()), id="too-few-values"),
+    pytest.param(Filling((1, 0), (1, 2), (2, 1, 1)), id="too-many-values"),
+]
 
 
 class TestPipeDreams:
@@ -334,17 +385,17 @@ class TestPipeDreams:
         (f,) = enumerate_fillings((0, 0), (2, 1))
         assert pipedream_convert(f) == [[2], [1]]
 
-    @pytest.mark.parametrize(
-        "T",
-        [
-            pytest.param(Filling((1, 0), (1, 2), (0,)), id="value-0"),
-            pytest.param(Filling((1, 0), (1, 2), (3,)), id="value-3"),
-            pytest.param(Filling((1, 0), (1, 5), (1,)), id="z-not-a-permutation"),
-        ],
-    )
+    @pytest.mark.parametrize("T", MALFORMED_FILLINGS)
     def test_convert_rejects_malformed(self, T):
         with pytest.raises(InvalidInputError):
             pipedream_convert(T)
+
+    @pytest.mark.parametrize("check", [filling_weight, filling_word])
+    @pytest.mark.parametrize("T", MALFORMED_FILLINGS)
+    def test_weight_and_word_reject_malformed(self, check, T):
+        # the check pipedream_convert makes, shared
+        with pytest.raises(InvalidInputError):
+            check(T)
 
     def test_each_basement_checked_once(self, monkeypatch):
         mu, z = (1, 0, 2), (2, 3, 1)
@@ -357,7 +408,7 @@ class TestPipeDreams:
             return real(w, n)
 
         monkeypatch.setattr(fperm, "check_perm", counting)
-        diagrams._checked_basement.cache_clear()
+        diagrams._pipe_plan.cache_clear()
         try:
             for T in fillings:
                 assert pipedream_invert(pipedream_convert(T), mu, z) == T
@@ -369,7 +420,7 @@ class TestPipeDreams:
                     pipedream_invert(pipedream_convert(fillings[0]), mu, [2, 3, 3])
             assert seen == [z, (2, 3, 3), (2, 3, 3)]
         finally:
-            diagrams._checked_basement.cache_clear()
+            diagrams._pipe_plan.cache_clear()
 
     @pytest.mark.parametrize(
         "P",
@@ -381,6 +432,8 @@ class TestPipeDreams:
             pytest.param([[2, 1, 3], [1, 3, 0], [3, 0, 0]], id="basement-not-z"),
             pytest.param([[1, 1, 3], [2, 3, 0], [3, 4, 0]], id="row-index-4"),
             pytest.param([[1, 1, 3], [2, 3, 0]], id="two-rows"),
+            # value 2 at (1, 3), past the widest row of dg(1, 0, 2)
+            pytest.param([[1, 1, 3], [2, 3, 0, 1], [3, 0, 0]], id="past-width"),
         ],
     )
     def test_invert_rejects_malformed(self, P):
@@ -435,6 +488,49 @@ class TestWalks:
     def test_rho(self):
         geo = walk_geometry(enumerate_walks((0, 0, 0), (1, 2, 3))[0])
         assert geo.rho == (Fraction(1), Fraction(0), Fraction(-1))
+
+    def test_geometry_matches_the_step_rule(self):
+        # restated per walk: pi moves by (1/n, ..., 1/n); an s_i step from
+        # the alcove with window entries wi, wi1 at i, i + 1 (residues a, b)
+        # moves along e_a - e_b, and a fold carries the root e_b - e_a +
+        # level K with level = floor((wi - 1)/n) - floor((wi1 - 1)/n)
+        def reference(w):
+            n = len(w.mu)
+            segs = []
+            folds = iter(w.folds)
+            for L, p in zip(w.word, w.states):
+                if L == "pi":
+                    segs.append(PathSegment("omega", (Fraction(1, n),) * n))
+                    continue
+                i = int(L[1:])
+                wi, wi1 = p.window[i - 1], p.window[i]
+                a, b = (wi - 1) % n + 1, (wi1 - 1) % n + 1
+                e = tuple(Fraction((c == a) - (c == b)) for c in range(1, n + 1))
+                if next(folds):
+                    root = AffineRoot(b, a, (wi - a) // n - (wi1 - b) // n)
+                    segs.append(PathSegment("f", e, root))
+                else:
+                    segs.append(PathSegment("c", e))
+            rho = tuple(Fraction(n - 1, 2) - c for c in range(n))
+            return PathRealization(w, tuple(segs), rho)
+
+        shared = {}
+        for mu, z in [
+            ((3, 0), (2, 1)),
+            ((2, 0, 1), (1, 2, 3)),
+            ((1, 3, 0), (3, 1, 2)),
+            ((0, 2, 1, 1), (2, 4, 1, 3)),
+            ((2, 0, 1, 2), (4, 3, 2, 1)),
+        ]:
+            walks = enumerate_walks(mu, z)
+            assert len(walks) == count(mu, "aw")
+            for w in walks:
+                geo = walk_geometry(w)
+                assert geo == reference(w)
+                for seg in geo.segments:
+                    # an equal segment met again is the same object
+                    assert shared.setdefault(seg, seg) is seg
+        assert any(seg.kind == "f" and seg.root.level for seg in shared)
 
 
 class TestPsiAndCST:
