@@ -61,12 +61,8 @@ def cmd_E(args):
 
 def cmd_P(args):
     lam = _check_n(args, args.mu, "--lam")
-    method = args.method or "sum-rel"
-    if method == "cst":
-        res = diagrams.cst_expand(lam, args.n)
-    else:
-        res = macdonald.compute_P(lam, method)
-    return _emit_poly(args, "P", lam, res.poly, method=method)
+    res = macdonald.compute_P(lam, args.method)
+    return _emit_poly(args, "P", lam, res.poly, method=args.method)
 
 
 def cmd_f(args):
@@ -200,7 +196,9 @@ def build_parser():
 
     sp = sub.add_parser("P", help="symmetric P_lambda")
     common(sp, mu_flag="--lam")
-    sp.add_argument("--method", choices=("sum-rel", "symmetrize", "cst"))
+    sp.add_argument(
+        "--method", choices=("sum-rel", "symmetrize", "cst"), default="sum-rel"
+    )
     sp.set_defaults(func=cmd_P)
 
     sp = sub.add_parser("f", help="KZ-family member f_mu")

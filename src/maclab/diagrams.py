@@ -717,37 +717,35 @@ def _strip_chains(chain, steps, out, below):
 def cst_expand(lam, n) -> MacdonaldResult:
     """P_lambda = sum over column strict tableaux T of psi_T x^T.
 
-    psi_T is the product of its strips' psi, added up as binomial
-    exponents.  The tableaux of one weight x^T are summed in Z[q, v]
-    over one denominator, each binomial at the largest multiplicity any
-    of them has in its denominator, so the field makes one RatFunc per
-    coefficient, not one per q-Pochhammer factor.
+    P_lambda is symmetric, so only tableaux of a dominant weight (strip
+    sizes weakly decreasing) are summed; each coefficient then goes to
+    every rearrangement of its weight.  psi_T is the product of its
+    strips' psi, as binomial exponents.  The tableaux of one weight are
+    summed in Z[q, v] over one denominator, each binomial at the largest
+    multiplicity any of them has in its denominator, so the field makes
+    one RatFunc per weight, not one per q-Pochhammer factor.
     """
     lam = check_weight(lam, nonneg=True)
     if len([x for x in lam if x > 0]) > n:
         raise InvalidInputError("shape has more rows than variables")
     by_weight = {}
     for chain in column_strict_tableaux(lam, n):
+        weight = tuple(sum(chain[k]) - sum(chain[k - 1]) for k in range(1, n + 1))
+        if any(a < b for a, b in zip(weight, weight[1:])):
+            continue
         psi = Counter()
-        weight = []
-        for step in range(1, n + 1):
-            prev, cur = chain[step - 1], chain[step]
-            psi.update(_psi_strip(_trim(cur), _trim(prev)))
-            weight.append(sum(cur) - sum(prev))
-        by_weight.setdefault(tuple(weight), []).append(psi)
+        for k in range(1, n + 1):
+            psi.update(_psi_strip(_trim(chain[k]), _trim(chain[k - 1])))
+        by_weight.setdefault(weight, []).append(psi)
     terms = {}
     for weight, psis in by_weight.items():
         den = Counter()
         for psi in psis:
-            for f, k in psi.items():
-                if -k > den[f]:
-                    den[f] = -k
-        num = RING.zero
-        for psi in psis:
-            lifted = Counter(den)
-            lifted.update(psi)
-            num = num + _binomials(lifted)
-        terms[weight] = RatFunc(num, _binomials(den))
+            den |= Counter({f: -k for f, k in psi.items() if k < 0})
+        num = sum((_binomials(den + psi) for psi in psis), RING.zero)
+        coeff = RatFunc(num, _binomials(den))
+        for nu in fperm.weight_orbit(weight):
+            terms[nu] = coeff
     mu_full = tuple(list(lam) + [0] * (n - len(lam))) if len(lam) < n else lam[:n]
     return MacdonaldResult(mu_full, LaurentPoly(n, terms), "cst")
 

@@ -206,7 +206,8 @@ def _orbit_numerators(lam, N):
 
 
 def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
-    """P_lambda, by summing f_nu over rearrangements or by symmetrizing."""
+    """P_lambda, by summing f_nu over rearrangements ("sum-rel"), by
+    symmetrizing ("symmetrize") or over column strict tableaux ("cst")."""
     lam = check_weight(lam, nonneg=True)
     if list(lam) != sorted(lam, reverse=True):
         raise InvalidInputError(f"{lam} is not weakly decreasing")
@@ -223,6 +224,9 @@ def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
         w_lam = hecke.poincare_stabilizer(lam)
         f = hecke._run(n, S / w_lam, N, [("sum", None)])
         return MacdonaldResult(lam, f, "symmetrization")
+    if method == "cst":
+        from .diagrams import cst_expand  # diagrams imports this module
+        return cst_expand(lam, n)
     raise InvalidInputError(f"unknown method {method!r}")
 
 

@@ -162,10 +162,9 @@ def v_increasing(mu):
 
 def weight_orbit(lam):
     """Distinct rearrangements of lam, in reverse-lex order from lam."""
-    seen = set()
-    out = []
-    for p in _it_permutations(lam):
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
+    lam = tuple(lam)
+    out = [] if lam else [()]
+    for v in dict.fromkeys(lam):
+        i = lam.index(v)
+        out += [(v,) + rest for rest in weight_orbit(lam[:i] + lam[i + 1 :])]
     return out

@@ -1,5 +1,6 @@
 """Periodic permutations, words, inversions and the mu decomposition."""
 
+import itertools
 import random
 
 import pytest
@@ -97,6 +98,14 @@ class TestWeightAction:
         el, _ = word_eval(word, 3)
         mu = (1, 0, 2)
         assert word_act_weight(word, mu) == el.act_weight(mu)
+
+    def test_weight_orbit_is_the_distinct_permutations_in_order(self):
+        # the distinct tuples of itertools.permutations, in the order it
+        # first meets them, for sorted and unsorted weights alike
+        for n in range(6):
+            for mu in compositions(n, 4):
+                want = list(dict.fromkeys(itertools.permutations(mu)))
+                assert fperm.weight_orbit(mu) == want, mu
 
 
 class TestInversions:

@@ -351,6 +351,10 @@ class TestGoldenDigests:
                 "P --n 5 --lam 3,1,1,1,0 --method cst --format json",
                 "a5c032afdd64ad260fd7d0ec535153b896a2606e950d22716130242fcfa27086",
             ),
+            (
+                "P --n 5 --lam 5,3,2,1,0 --method cst --format json",
+                "7a2baf553d721593a1c45aa3f9f95672d28e04b2b8b65b989852f3da01eb2eea",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -377,6 +381,14 @@ class TestExitCodes:
         assert rc == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_P_methods_share_one_error(self, capsys):
+        errs = set()
+        for method in ("sum-rel", "symmetrize", "cst"):
+            rc, _, err = run(capsys, "P", "--n", "3", "--lam", "0,2,1", "--method", method)
+            assert rc == 2
+            errs.add(err)
+        assert errs == {"error: (0, 2, 1) is not weakly decreasing\n"}
 
     def test_verify_pass(self, capsys):
         rc, out, _ = run(capsys, "verify", "--suite", "golden", "--n", "3")

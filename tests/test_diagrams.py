@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from maclab.diagrams import (
 from maclab.errors import InvalidInputError
 from maclab.laurent import LaurentPoly
 from maclab.macdonald import compute_E, compute_E_rel, compute_P
-from maclab.ratfunc import RF_ONE, RatFunc, one_minus
+from maclab.ratfunc import RF_ONE, RING, RatFunc, one_minus
 
 
 def word_monomial(word, n):
@@ -55,6 +56,35 @@ def _filling_sum(mu, z):
         word, _ = filling_word(f)
         total = total + word_monomial(word, n).scale(filling_weight(f))
     return total
+
+
+def _cst_every_weight(lam, n):
+    """P_lambda by the tableau formula summed over the tableaux of every
+    weight, each weight over one denominator in Z[q, v], with no use of
+    symmetry."""
+    by_weight = {}
+    for chain in column_strict_tableaux(lam, n):
+        psi = Counter()
+        weight = []
+        for step in range(1, n + 1):
+            prev, cur = chain[step - 1], chain[step]
+            psi.update(diagrams._psi_strip(diagrams._trim(cur), diagrams._trim(prev)))
+            weight.append(sum(cur) - sum(prev))
+        by_weight.setdefault(tuple(weight), []).append(psi)
+    terms = {}
+    for weight, psis in by_weight.items():
+        den = Counter()
+        for psi in psis:
+            for f, k in psi.items():
+                if -k > den[f]:
+                    den[f] = -k
+        num = RING.zero
+        for psi in psis:
+            lifted = Counter(den)
+            lifted.update(psi)
+            num = num + diagrams._binomials(lifted)
+        terms[weight] = RatFunc(num, diagrams._binomials(den))
+    return LaurentPoly(n, terms)
 
 
 class TestBoxStats:
@@ -600,15 +630,28 @@ class TestPsiAndCST:
         assert got == want
 
     def test_cst_computes_each_strip_once(self, monkeypatch):
-        # every distinct strip of the chains, trailing zeros aside, is
-        # validated (and so computed) once, however many chains share it
+        # psi is computed only for the strips of the chains of a dominant
+        # weight (strip sizes weakly decreasing), each distinct strip,
+        # trailing zeros aside, validated (and so computed) once, however
+        # many chains share it
         lam, n = (3, 1, 1, 1, 0), 5
         chains = diagrams.column_strict_tableaux(lam, n)
-        strips = {
-            (diagrams._trim(c[k]), diagrams._trim(c[k - 1]))
-            for c in chains
-            for k in range(1, n + 1)
-        }
+
+        def strips_of(cs):
+            return {
+                (diagrams._trim(c[k]), diagrams._trim(c[k - 1]))
+                for c in cs
+                for k in range(1, n + 1)
+            }
+
+        def dominant(c):
+            sizes = [sum(c[k]) - sum(c[k - 1]) for k in range(1, n + 1)]
+            return sizes == sorted(sizes, reverse=True)
+
+        kept = [c for c in chains if dominant(c)]
+        strips = strips_of(kept)
+        others = strips_of(chains) - strips
+        assert (len(strips), len(strips) + len(others)) == (14, 43)
         seen = []
         real = diagrams._strip_ok
 
@@ -622,9 +665,18 @@ class TestPsiAndCST:
             got = cst_expand(lam, n).poly
         finally:
             diagrams._psi_strip.cache_clear()
-        assert len(seen) == len(set(seen)) == len(strips) < len(chains) * n
+        assert not set(seen) & others
+        assert len(seen) == len(set(seen)) == len(strips) < len(kept) * n
         assert set(seen) == strips
         assert got == compute_P(lam).poly
+
+    def test_cst_matches_the_sum_over_every_weight(self):
+        # the dominant weights' coefficients copied to their orbits give
+        # the same terms as summing the tableaux of every weight
+        for n in (1, 2, 3, 4):
+            for lam in partitions_in(n, 6):
+                got = compute_P(lam, "cst").poly
+                assert got.terms == _cst_every_weight(lam, n).terms, lam
 
     @pytest.mark.parametrize("lam,n", [((2, 1), 3), ((3, 1, 1), 4), ((2, 2), 3)])
     def test_tableaux_are_the_strip_chains_in_order(self, lam, n):

@@ -223,14 +223,11 @@ class TestP210:
         assert p1 == p2
 
     def test_routes_agree_sweep(self):
-        from maclab.diagrams import cst_expand
-
         for n in (2, 3, 4):
             for lam in partitions_in(n, 4):
                 p1 = compute_P(lam, "sum-rel").poly
                 assert p1 == compute_P(lam, "symmetrize").poly, lam
-                if any(lam):
-                    assert p1 == cst_expand(lam, n).poly, lam
+                assert p1 == compute_P(lam, "cst").poly, lam
 
     def test_monomial_profile(self):
         p = compute_P((2, 1, 0)).poly
