@@ -18,7 +18,7 @@ from math import factorial
 from types import MappingProxyType
 
 from . import permutations as fperm
-from .affine import AffineRoot, PeriodicPerm, _mul, box_greedy_word, boxes_of, u_stat
+from .affine import AffineRoot, PeriodicPerm, box_greedy_word, boxes_of, s_count, u_stat
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, check_weight
 from .macdonald import MacdonaldResult
@@ -426,7 +426,22 @@ class AlcoveWalk:
     z: tuple
     word: tuple  # letters of the reduced word for u_mu
     folds: tuple  # per s-letter: False = cross, True = fold
-    states: tuple  # p_0 .. p_r, PeriodicPerm
+
+    @property
+    def states(self):
+        """The alcoves p_0 .. p_r, PeriodicPerm: z, then the right product
+        by each letter, pi or a crossed s_i; a fold stays where it is."""
+        n = len(self.mu)
+        states = [PeriodicPerm.from_finite(self.z)]
+        folds = iter(self.folds)
+        for L in self.word:
+            p = states[-1]
+            if L == "pi":
+                p = p * PeriodicPerm.pi(n)
+            elif not next(folds):
+                p = p * PeriodicPerm.s(int(L[1:]), n)
+            states.append(p)
+        return tuple(states)
 
     def shorthand(self) -> str:
         bits = []
@@ -443,35 +458,15 @@ class AlcoveWalk:
 def iter_walks(mu, z):
     """Generate all alcove walks of type (z, box-greedy word of u_mu).
 
-    Depth-first with the cross branch taken before the fold branch, so
-    walks arrive ordered by their binary fold vector (cross = 0 before
-    fold = 1, first s-letter most significant).  Prefixes are shared, so
-    iterating all 2^l(u_mu) walks costs one unchecked group product per
-    tree node.
+    A walk is its fold vector, one cross (False) or fold (True) per
+    s-letter, so the 2^l(u_mu) walks are {cross, fold}^l in binary order:
+    cross before fold, first s-letter most significant.
     """
     mu = check_weight(mu, nonneg=True)
-    n = len(mu)
-    z = fperm.check_perm(z, n)
+    z = fperm.check_perm(z, len(mu))
     word = box_greedy_word(mu)
-    steps = {L: PeriodicPerm.s(int(L[1:]), n) for L in set(word) - {"pi"}}
-    steps["pi"] = PeriodicPerm.pi(n)
-    states, folds = [PeriodicPerm.from_finite(z)], []
-    while True:
-        # descend along crossings to the end of the word
-        for L in word[len(states) - 1 :]:
-            states.append(_mul(states[-1], steps[L]))
-            if L != "pi":
-                folds.append(False)
-        yield AlcoveWalk(mu, z, word, tuple(folds), tuple(states))
-        # back up to the last crossing and fold there instead
-        while True:
-            if len(states) == 1:
-                return
-            states.pop()
-            if word[len(states) - 1] != "pi" and not folds.pop():
-                break
-        states.append(states[-1])
-        folds.append(True)
+    for folds in product((False, True), repeat=s_count(word)):
+        yield AlcoveWalk(mu, z, word, folds)
 
 
 def enumerate_walks(mu, z):
@@ -561,22 +556,26 @@ def walk_geometry(walk: AlcoveWalk) -> PathRealization:
     """Per-step path segments: omega for pi, c/f in direction of the
     moved coroot, fold steps also carrying their hyperplane root.
 
-    Every segment and rho is built once per n and shared by every walk
-    (all are immutable), each step is looked up by the two window
-    entries it moves, and the letters of a word are read once, so a walk
-    makes only its segment tuple.
+    The alcove's window starts at z: a crossing s_i swaps its entries i
+    and i + 1, a fold leaves it, and pi rotates it to (w_2, ..., w_n,
+    w_1 + n).  Each step is looked up by the two entries it moves, and
+    every segment and rho is built once per n and shared by every walk.
     """
     n = len(walk.mu)
     omega, rho, _, _, steps = _walk_constants(n)
     out = []
+    w = list(walk.z)
     folds = iter(walk.folds)
-    for i, p in zip(_letter_indices(walk.word), walk.states):
+    for i in _letter_indices(walk.word):
         if not i:
             out.append(omega)
+            w.append(w.pop(0) + n)
             continue
-        w = p.window
         step = steps.get((w[i - 1], w[i])) or _walk_step(n, w[i - 1], w[i])
-        out.append(step[next(folds)])
+        fold = next(folds)
+        out.append(step[fold])
+        if not fold:
+            w[i - 1], w[i] = w[i], w[i - 1]
     return PathRealization(walk, tuple(out), rho)
 
 

@@ -276,11 +276,10 @@ def _factor(p):
     u is a nonzero int and fac maps irreducible factors to their
     multiplicity.  The result is shared: callers must not change fac.
     """
-    # every known line factor g(q^a v^b), as often as it divides: d copies
-    # are more than any nonconstant factor can divide
+    # the monomial part (d copies are more than q or v can divide); _peel
+    # finds every cyclotomic Phi_d(q^a v^b) in what is left
     d = sum(_degs([p])) + 1
-    lines = (f for f in _REGISTRY.values() if f.step is not None)
-    (p,), left, _ = _cancel([p], dict.fromkeys(lines, d), 1)
+    (p,), left, _ = _cancel([p], {_FQ: d, _FV: d}, 1)
     fac = {f: d - k for f, k in left.items() if k < d}
     while len(p) > 1 or (0, 0) not in p:
         peeled = _peel(p)

@@ -11,7 +11,7 @@ import pytest
 from conftest import Q, T, compositions, frac, partitions_in
 from maclab import diagrams, macdonald
 from maclab import permutations as fperm
-from maclab.affine import AffineRoot
+from maclab.affine import AffineRoot, PeriodicPerm, word_eval
 from maclab.diagrams import (
     Diagram,
     Filling,
@@ -561,6 +561,30 @@ class TestWalks:
                     # an equal segment met again is the same object
                     assert shared.setdefault(seg, seg) is seg
         assert any(seg.kind == "f" and seg.root.level for seg in shared)
+
+    def test_states_follow_word_eval(self):
+        # the alcoves of a walk start at z, stay put at a fold, and end at
+        # z times the word with its folded letters dropped
+        for mu, z in [
+            ((3, 0), (2, 1)),
+            ((2, 0, 1), (1, 2, 3)),
+            ((1, 3, 0), (3, 1, 2)),
+            ((0, 2, 1, 1), (2, 4, 1, 3)),
+            ((2, 0, 1, 2), (4, 3, 2, 1)),
+        ]:
+            n, start = len(mu), PeriodicPerm.from_finite(z)
+            for w in iter_walks(mu, z):
+                states = w.states
+                assert len(states) == len(w.word) + 1
+                assert states[0] == start
+                folds = iter(w.folds)
+                crossed = []
+                for k, L in enumerate(w.word):
+                    if L != "pi" and next(folds):
+                        assert states[k + 1] == states[k]
+                    else:
+                        crossed.append(L)
+                assert states[-1] == start * word_eval(crossed, n)[0]
 
 
 class TestPsiAndCST:
