@@ -455,6 +455,11 @@ class AlcoveWalk:
         return " ".join(bits)
 
 
+_SET_WALK_MU, _SET_WALK_Z, _SET_WORD, _SET_FOLDS = (
+    AlcoveWalk.__dict__[f].__set__ for f in ("mu", "z", "word", "folds")
+)
+
+
 def iter_walks(mu, z):
     """Generate all alcove walks of type (z, box-greedy word of u_mu).
 
@@ -465,8 +470,16 @@ def iter_walks(mu, z):
     mu = check_weight(mu, nonneg=True)
     z = fperm.check_perm(z, len(mu))
     word = box_greedy_word(mu)
+    # as AlcoveWalk(mu, z, word, folds) would make each walk, through the
+    # slot descriptors (see _filling)
+    new = object.__new__
     for folds in product((False, True), repeat=s_count(word)):
-        yield AlcoveWalk(mu, z, word, folds)
+        w = new(AlcoveWalk)
+        _SET_WALK_MU(w, mu)
+        _SET_WALK_Z(w, z)
+        _SET_WORD(w, word)
+        _SET_FOLDS(w, folds)
+        yield w
 
 
 def enumerate_walks(mu, z):

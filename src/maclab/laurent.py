@@ -188,9 +188,17 @@ class LaurentPoly:
         return all(c.has_even_v() for c in self.terms.values())
 
     def to_json_obj(self):
-        return [
-            {"x": list(e), "coeff": c.to_json_obj()} for e, c in self.sorted_terms()
-        ]
+        # many terms share one coefficient object (hecke._join makes one
+        # RatFunc per distinct numerator), and the document may repeat
+        # one object; keyed by identity, no RatFunc is hashed
+        coeffs = {}
+        out = []
+        for e, c in self.sorted_terms():
+            obj = coeffs.get(id(c))
+            if obj is None:
+                obj = coeffs[id(c)] = c.to_json_obj()
+            out.append({"x": list(e), "coeff": obj})
+        return out
 
     def to_string(self, latex: bool = False) -> str:
         """Human-readable form with coefficients rendered in q, t."""

@@ -1,17 +1,19 @@
 """Macdonald polynomials E_mu, E_mu^z, f_mu, F_mu and P_lambda.
 
 E_mu is built by walking the box-greedy word of u_mu from the constant
-polynomial.  An s_i letter applies the intertwiner step
-t^(1/2) T_i + (1 - t)/(1 - a_nu).  A pi letter is the Knop-Sahi
-recurrence E_(Phi nu) = q^(nu_n) x_1 (g E_nu), with
+polynomial, one box at a time: the block s_u ... s_1 pi of the word's
+first box runs last, on the cached E of the weight with that box
+removed, so walks share their states.  An s_i letter applies the
+intertwiner step t^(1/2) T_i + (1 - t)/(1 - a_nu).  A pi letter is the
+Knop-Sahi recurrence E_(Phi nu) = q^(nu_n) x_1 (g E_nu), with
 Phi nu = (nu_n + 1, nu_1, ..., nu_(n-1)) (Knop, Integrality of two
 variable Kostka functions, J. reine angew. Math. 1997; Sahi,
 Interpolation, integrality, and a generalization of Macdonald's
 polynomials, IMRN 1996): it rotates the exponents, shifts by powers of
 q and multiplies by x_1, so it runs no T_i and leaves E monic with no
 leading coefficient to divide out.  The walk runs on integer numerators
-over one shared denominator, and that form (S, N) is cached (`_E_form`);
-E_mu is its join.
+over one shared denominator, and that form (S, N) is cached for every
+weight built, at each box boundary (`_E_form`); E_mu is its join.
 
 Everything else is a Hecke-operator twist of some E, run on N with one
 join at the end and its scalar folded into S: E_mu^z and f_mu apply a
@@ -28,7 +30,7 @@ from types import MappingProxyType
 
 from . import hecke
 from . import permutations as fperm
-from .affine import box_greedy_word
+from .affine import u_stat
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, _acc, check_weight
 from .ratfunc import RF_ONE, RF_T, RING, RatFunc, _cancel_common, one_minus
@@ -86,6 +88,24 @@ class MacdonaldResult:
 # E_mu by the intertwiner walk
 
 
+def _first_box(mu):
+    """(nu, u): the box-greedy word of u_mu starts with the block
+    s_u ... s_1 pi of the first box of dg(mu) in cylindrical order, which
+    is (i, 1) with i the first nonzero row; nu is the weight with one box
+    fewer that the block, undone, leaves."""
+    i = next(r for r, m in enumerate(mu, 1) if m)
+    u = u_stat(mu, i, 1)
+    nu = mu
+    for k in range(u, 0, -1):
+        nu = nu[: k - 1] + (nu[k], nu[k - 1]) + nu[k + 1 :]
+    return nu[1:] + (nu[0] - 1,), u
+
+
+# a weight with a multiple of _RUN boxes first builds the one _RUN boxes
+# down, so a cold walk recurses about _RUN + |mu| / _RUN calls deep, not |mu|
+_RUN = 128
+
+
 @lru_cache(maxsize=4096)
 def _E_form(mu):
     """E_mu as (S, N) with E_mu = S * sum N_e x^e (see hecke._split): S
@@ -93,49 +113,60 @@ def _E_form(mu):
     so N is a read-only view: consumers run their letters into new
     dicts.
 
+    E_mu is built one box at a time.  The box-greedy word of u_mu starts
+    with the block s_u ... s_1 pi of its first box, and the walk runs it
+    last: undoing it gives the weight nu with one box fewer
+    (`_first_box`), and the block's letters run on the cached form of
+    E_nu.  So every walk passes through the cached E of the weights on
+    its way, and walks to weights that share a predecessor share its
+    states.
+
     The pi letter is x_1 g, not g_vee = x_1 T_1 ... T_(n-1): by the
     Knop-Sahi recurrence E_(Phi nu) = q^(nu_n) x_1 (g E_nu), both give
     E_(Phi nu) up to a scalar, and for x_1 g that scalar is the known
     power q^(nu_n).  So the letter costs a rotation instead of n - 1
     T letters, and E stays monic without a leading coefficient to look
-    up and divide out; one check at the end confirms it.
+    up and divide out; one check per weight confirms it.
     """
-    n = len(mu)
-    nu = (0,) * n
-    S, N = RF_ONE, {nu: RING.one}
-    for letter in reversed(box_greedy_word(mu)):
-        if letter == "pi":
-            N, k = hecke._g(N, False)
-            N = {(e[0] + 1,) + e[1:]: p for e, p in N.items()}
-            S = S * RatFunc.q_power(k + nu[-1])
-            nu = (nu[-1] + 1,) + nu[:-1]
-            # without this the numerators keep every factor that the s
-            # letters put in and that S could take back: at n = 6 they
-            # grow about fivefold.  Equal numerators are common: divide
-            # each distinct one once
-            distinct = list(dict.fromkeys(N.values()))
-            S, quos = _cancel_common(S, distinct)
-            quo = dict(zip(distinct, quos))
-            N = {e: quo[p] for e, p in N.items()}
-        else:
-            i = int(letter[1:])
-            if nu[i - 1] <= nu[i]:
-                raise InvariantViolation(
-                    f"box-greedy word hit s_{i} at weight {nu}"
-                )
-            # t^(1/2) T_i + num/den = (den t^(1/2) T_i + num) / den
-            scalar = one_minus(RF_T) / one_minus(_a_mu(nu, i))
-            num, den = scalar.num, scalar.den
-            out = {e: den * p for e, p in hecke._tT(i, N).items()}
-            for e, p in N.items():
-                _acc(out, e, num * p)
-            N = out
-            S = S / RatFunc(den)
-            nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
+    if not any(mu):
+        return RF_ONE, MappingProxyType({mu: RING.one})
+    if sum(mu) % _RUN == 0:
+        far = mu
+        for _ in range(_RUN):
+            far = _first_box(far)[0]
+        _E_form(far)
+    nu, u = _first_box(mu)
+    S, N = _E_form(nu)
+    # the block's letters in the order the walk runs them: pi, s_1, ..., s_u
+    N, k = hecke._g(N, False)
+    N = {(e[0] + 1,) + e[1:]: p for e, p in N.items()}
+    S = S * RatFunc.q_power(k + nu[-1])
+    nu = (nu[-1] + 1,) + nu[:-1]
+    # without this the numerators keep every factor that the s letters
+    # put in and that S could take back: at n = 6 they grow about
+    # fivefold.  Equal numerators are common: divide each distinct one once
+    distinct = list(dict.fromkeys(N.values()))
+    S, quos = _cancel_common(S, distinct)
+    quo = dict(zip(distinct, quos))
+    N = {e: quo[p] for e, p in N.items()}
+    for i in range(1, u + 1):
+        if nu[i - 1] <= nu[i]:
+            raise InvariantViolation(f"box-greedy word hit s_{i} at weight {nu}")
+        # t^(1/2) T_i + num/den = (den t^(1/2) T_i + num) / den
+        scalar = one_minus(RF_T) / one_minus(_a_mu(nu, i))
+        num, den = scalar.num, scalar.den
+        out = {e: den * p for e, p in hecke._tT(i, N).items()}
+        for e, p in N.items():
+            _acc(out, e, num * p)
+        N = out
+        S = S / RatFunc(den)
+        nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
     if nu != mu:
         raise InvariantViolation(f"walk ended at {nu}, wanted {mu}")
     lead = N.get(mu)
-    if lead is None or not (S * RatFunc(lead)).is_one():
+    # S * lead = 1 with S = num / den in lowest terms, without a fraction
+    # whose cancellation trial-divides lead by every factor of den
+    if lead is None or S.num * lead != S.den:
         raise InvariantViolation(f"E_{mu} is not monic at x^{mu}")
     return S, MappingProxyType(N)
 

@@ -18,7 +18,9 @@ from maclab.affine import box_greedy_word
 from maclab.errors import InvalidInputError, InvariantViolation
 from maclab.laurent import LaurentPoly, _acc
 from maclab.macdonald import (
+    _compute_E_poly,
     _E_form,
+    _first_box,
     closed_column,
     closed_n2,
     closed_single_box,
@@ -613,20 +615,37 @@ def gvee_walk(mu):
     return hecke._run(n, S, N, [])
 
 
+# the weights of n = 2, 3, 4 with parts below 4 and at most 6 boxes
+SMALL_WEIGHTS = [
+    mu
+    for n in (2, 3, 4)
+    for mu in itertools.product(range(4), repeat=n)
+    if sum(mu) <= 6
+]
+
+
+def _before_last_box(mu):
+    """The weight the walk to mu reaches before the block of the first
+    box of its box-greedy word, by walking the rest of the word."""
+    word = box_greedy_word(mu)
+    nu = (0,) * len(mu)
+    for letter in reversed(word[word.index("pi") + 1 :]):
+        if letter == "pi":
+            nu = (nu[-1] + 1,) + nu[:-1]
+        else:
+            i = int(letter[1:])
+            nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
+    return nu
+
+
 class TestKnopSahiPiLetter:
     """The walk's pi letter is x_1 g with the scalar q^(nu_n) (Knop,
     Sahi); the g_vee pi letter with its leading coefficient divided out
     is its oracle."""
 
     def test_matches_gvee_walk(self):
-        weights = [
-            mu
-            for n in (2, 3, 4)
-            for mu in itertools.product(range(4), repeat=n)
-            if sum(mu) <= 6
-        ]
-        assert len(weights) == 220
-        for mu in weights:
+        assert len(SMALL_WEIGHTS) == 220
+        for mu in SMALL_WEIGHTS:
             assert compute_E(mu).poly == gvee_walk(mu), mu
 
     def test_pi_letters_cancel_common_factors(self):
@@ -646,6 +665,55 @@ class TestKnopSahiPiLetter:
         monkeypatch.setattr(hecke, "_g", off_by_q)
         with pytest.raises(InvariantViolation, match="not monic"):
             _E_form.__wrapped__((0, 1, 2))
+
+    def test_corrupt_pi_letter_on_a_cached_predecessor(self, monkeypatch):
+        # the predecessor's form is right, so only the pi letter of the
+        # last box runs the corrupt g, and the check on (0, 1, 2) catches it
+        mu = (0, 1, 2)
+        nu = _before_last_box(mu)
+        assert sum(nu) == sum(mu) - 1
+        _E_form(nu)
+        real = hecke._g
+
+        def off_by_q(N, inverse):
+            N, k = real(N, inverse)
+            return N, k + 1
+
+        monkeypatch.setattr(hecke, "_g", off_by_q)
+        with pytest.raises(InvariantViolation, match=r"E_\(0, 1, 2\) is not monic"):
+            _E_form.__wrapped__(mu)
+
+
+class TestBoxByBox:
+    """E_mu is built one box at a time on the cached E of the weight
+    before it, so the order in which weights are asked for must not
+    change any of them."""
+
+    def test_first_box_is_the_first_block_of_the_word(self):
+        for mu in SMALL_WEIGHTS:
+            if any(mu):
+                word = box_greedy_word(mu)
+                u = word.index("pi")
+                assert word[:u] == tuple(f"s{k}" for k in range(u, 0, -1))
+                assert _first_box(mu) == (_before_last_box(mu), u), mu
+
+    def test_long_cold_walks(self):
+        # a recursion level per box would pass Python's recursion limit;
+        # E_(mu + (c, ..., c)) = (x_1 ... x_n)^c E_mu
+        _E_form.cache_clear()
+        for mu, c in [((0,), 3000), ((0, 0), 1000), ((1, 0, 2), 400)]:
+            big = tuple(m + c for m in mu)
+            want = compute_E(mu).poly.mul_monomial((c,) * len(mu))
+            assert compute_E(big).poly == want, big
+
+    def test_cold_cache_in_both_orders(self):
+        want = {mu: reference_walk(mu) for mu in SMALL_WEIGHTS}
+        ascending = sorted(SMALL_WEIGHTS, key=sum)
+        for order in (ascending, ascending[::-1]):
+            _E_form.cache_clear()
+            _compute_E_poly.cache_clear()
+            for mu in order:
+                assert compute_E(mu).poly == want[mu], mu
 
 
 class TestNumeratorForm:

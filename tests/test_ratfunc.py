@@ -400,6 +400,20 @@ class TestLineExquo:
         self._check(g**3, g)
         self._check(g**2 * (g + 1), g)
 
+    @pytest.mark.parametrize("g", LINES, ids=str)
+    def test_one_line_off_in_either_order(self, g):
+        # p is a multiple of g on the line through 1 and, on another line,
+        # a multiple or not; p lists either line's terms first
+        step, terms = ratfunc._line_form(g)
+        other = q if step[1] else v  # off the line through 1
+        on = g * (g + 2)
+        for off, divides in ((other * (g + 1), False), (other * g * (g - 3), True)):
+            for first, second in ((on, off), (off, on)):
+                p = IntPoly2({**first, **second})
+                assert p == on + off
+                self._check(p, g)
+                assert (ratfunc._line_exquo(p, step, terms) is not None) == divides
+
 
 class TestCancel:
     """`_cancel`, the one trial-division rule behind the constructor, +, *,
