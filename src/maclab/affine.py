@@ -322,15 +322,30 @@ def u_stat(mu, i, j):
     return n - 1 - count
 
 
+def _first_box_block(mu):
+    """(nu, u) for a nonzero weight mu: the box-greedy word of u_mu starts
+    with the block s_u ... s_1 pi of the first box of dg(mu) in
+    cylindrical order, and the rest of the word is the box-greedy word of
+    nu, the weight with one box fewer that the block, undone, leaves.
+
+    The first box is (i, 1) with i the first nonzero row; no earlier row
+    attacks it, so u = u_mu(i, 1) = i - 1.  Undoing s_u ... s_1 moves
+    mu_i to the front and undoing pi then moves it to the end, one lower.
+    """
+    u = next(k for k, m in enumerate(mu) if m)
+    return mu[:u] + mu[u + 1 :] + (mu[u] - 1,), u
+
+
 def box_greedy_word(mu):
     """Word for u_mu built box by box in cylindrical order.
 
-    Each box contributes the block s_{u(b)} ... s_2 s_1 pi.
+    Each box b contributes the block s_{u(b)} ... s_2 s_1 pi; the blocks
+    are peeled off one at a time by `_first_box_block`.
     """
     mu = check_weight(mu, nonneg=True)
     word = []
-    for i, j in boxes_of(mu):
-        u = u_stat(mu, i, j)
+    while any(mu):
+        mu, u = _first_box_block(mu)
         word.extend(f"s{k}" for k in range(u, 0, -1))
         word.append("pi")
     return tuple(word)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -200,22 +200,27 @@ class Filling:
         }
 
 
-# the frozen dataclass's __init__ sets each field through
-# object.__setattr__; the slot descriptors set them at about half the cost
-_SET_MU, _SET_Z, _SET_VALUES, _SET_KIND = (
-    Filling.__dict__[f].__set__ for f in ("mu", "z", "values", "kind")
-)
+def _slot_constructor(cls):
+    """For a frozen slots dataclass of four fields, a function that
+    makes cls(a, b, c, d) from fields that are already checked.  The
+    dataclass's __init__ sets each field through object.__setattr__; the
+    slot descriptors set them at about half the cost."""
+    set_a, set_b, set_c, set_d = (cls.__dict__[f.name].__set__ for f in fields(cls))
+    new = object.__new__
+
+    def make(a, b, c, d):
+        obj = new(cls)
+        set_a(obj, a)
+        set_b(obj, b)
+        set_c(obj, c)
+        set_d(obj, d)
+        return obj
+
+    return make
 
 
-def _filling(mu, z, values, kind):
-    """A Filling from parts that are already checked, as
-    Filling(mu, z, values, kind) would make it."""
-    T = object.__new__(Filling)
-    _SET_MU(T, mu)
-    _SET_Z(T, z)
-    _SET_VALUES(T, values)
-    _SET_KIND(T, kind)
-    return T
+# Filling(mu, z, values, kind)
+_filling = _slot_constructor(Filling)
 
 
 def enumerate_fillings(mu, z, kind: str = "nonattacking"):
@@ -455,9 +460,8 @@ class AlcoveWalk:
         return " ".join(bits)
 
 
-_SET_WALK_MU, _SET_WALK_Z, _SET_WORD, _SET_FOLDS = (
-    AlcoveWalk.__dict__[f].__set__ for f in ("mu", "z", "word", "folds")
-)
+# AlcoveWalk(mu, z, word, folds)
+_walk = _slot_constructor(AlcoveWalk)
 
 
 def iter_walks(mu, z):
@@ -470,16 +474,8 @@ def iter_walks(mu, z):
     mu = check_weight(mu, nonneg=True)
     z = fperm.check_perm(z, len(mu))
     word = box_greedy_word(mu)
-    # as AlcoveWalk(mu, z, word, folds) would make each walk, through the
-    # slot descriptors (see _filling)
-    new = object.__new__
     for folds in product((False, True), repeat=s_count(word)):
-        w = new(AlcoveWalk)
-        _SET_WALK_MU(w, mu)
-        _SET_WALK_Z(w, z)
-        _SET_WORD(w, word)
-        _SET_FOLDS(w, folds)
-        yield w
+        yield _walk(mu, z, word, folds)
 
 
 def enumerate_walks(mu, z):

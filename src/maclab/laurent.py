@@ -188,9 +188,13 @@ class LaurentPoly:
         return all(c.has_even_v() for c in self.terms.values())
 
     def to_json_obj(self):
+        """The terms as [{"x": exponents, "coeff": coefficient}, ...], for
+        serialising.  Terms that share one coefficient object share its
+        JSON object too, so treat the result as read-only: editing one
+        term's "coeff" edits every term that shares it."""
         # many terms share one coefficient object (hecke._join makes one
-        # RatFunc per distinct numerator), and the document may repeat
-        # one object; keyed by identity, no RatFunc is hashed
+        # RatFunc per distinct numerator); keyed by identity, no RatFunc
+        # is hashed
         coeffs = {}
         out = []
         for e, c in self.sorted_terms():

@@ -13,7 +13,8 @@ polynomials, IMRN 1996): it rotates the exponents, shifts by powers of
 q and multiplies by x_1, so it runs no T_i and leaves E monic with no
 leading coefficient to divide out.  The walk runs on integer numerators
 over one shared denominator, and that form (S, N) is cached for every
-weight built, at each box boundary (`_E_form`); E_mu is its join.
+weight the walk passes, at each box boundary (`_E_box`, built from the
+bottom up by `_E_form`); E_mu is its join.
 
 Everything else is a Hecke-operator twist of some E, run on N with one
 join at the end and its scalar folded into S: E_mu^z and f_mu apply a
@@ -30,7 +31,7 @@ from types import MappingProxyType
 
 from . import hecke
 from . import permutations as fperm
-from .affine import u_stat
+from .affine import _first_box_block
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, _acc, check_weight
 from .ratfunc import RF_ONE, RF_T, RING, RatFunc, _cancel_common, one_minus
@@ -88,24 +89,6 @@ class MacdonaldResult:
 # E_mu by the intertwiner walk
 
 
-def _first_box(mu):
-    """(nu, u): the box-greedy word of u_mu starts with the block
-    s_u ... s_1 pi of the first box of dg(mu) in cylindrical order, which
-    is (i, 1) with i the first nonzero row; nu is the weight with one box
-    fewer that the block, undone, leaves."""
-    i = next(r for r, m in enumerate(mu, 1) if m)
-    u = u_stat(mu, i, 1)
-    nu = mu
-    for k in range(u, 0, -1):
-        nu = nu[: k - 1] + (nu[k], nu[k - 1]) + nu[k + 1 :]
-    return nu[1:] + (nu[0] - 1,), u
-
-
-# a weight with a multiple of _RUN boxes first builds the one _RUN boxes
-# down, so a cold walk recurses about _RUN + |mu| / _RUN calls deep, not |mu|
-_RUN = 128
-
-
 @lru_cache(maxsize=4096)
 def _E_form(mu):
     """E_mu as (S, N) with E_mu = S * sum N_e x^e (see hecke._split): S
@@ -114,12 +97,27 @@ def _E_form(mu):
     dicts.
 
     E_mu is built one box at a time.  The box-greedy word of u_mu starts
-    with the block s_u ... s_1 pi of its first box, and the walk runs it
-    last: undoing it gives the weight nu with one box fewer
-    (`_first_box`), and the block's letters run on the cached form of
-    E_nu.  So every walk passes through the cached E of the weights on
-    its way, and walks to weights that share a predecessor share its
-    states.
+    with the block s_u ... s_1 pi of its first box, and the rest of the
+    word is that of the weight nu with one box fewer
+    (`affine._first_box_block`).  `_E_box` runs the block on the cached
+    form of E_nu; this function runs it on each weight of the chain from
+    (0, ..., 0) up to mu, so every step finds the form before it cached
+    and the stack stays two calls deep however many boxes mu has.  Every
+    walk passes through the cached E of the weights on its way, and
+    walks to weights that share a predecessor share its states.
+    """
+    chain = [mu]
+    while any(chain[-1]):
+        chain.append(_first_box_block(chain[-1])[0])
+    for nu in reversed(chain):
+        form = _E_box(nu)
+    return form
+
+
+@lru_cache(maxsize=4096)
+def _E_box(mu):
+    """The form of `_E_form(mu)` from that of the weight before mu, which
+    the caller has cached.
 
     The pi letter is x_1 g, not g_vee = x_1 T_1 ... T_(n-1): by the
     Knop-Sahi recurrence E_(Phi nu) = q^(nu_n) x_1 (g E_nu), both give
@@ -130,13 +128,8 @@ def _E_form(mu):
     """
     if not any(mu):
         return RF_ONE, MappingProxyType({mu: RING.one})
-    if sum(mu) % _RUN == 0:
-        far = mu
-        for _ in range(_RUN):
-            far = _first_box(far)[0]
-        _E_form(far)
-    nu, u = _first_box(mu)
-    S, N = _E_form(nu)
+    nu, u = _first_box_block(mu)
+    S, N = _E_box(nu)
     # the block's letters in the order the walk runs them: pi, s_1, ..., s_u
     N, k = hecke._g(N, False)
     N = {(e[0] + 1,) + e[1:]: p for e, p in N.items()}

@@ -8,14 +8,17 @@ import pytest
 from conftest import compositions
 from maclab import permutations as fperm
 from maclab.affine import (
+    _first_box_block,
     AffineRoot,
     PeriodicPerm,
     box_greedy_word,
+    boxes_of,
     column_greedy_word,
     decompose_mu,
     length_translation,
     translation,
     u_element,
+    u_stat,
     word_act_weight,
     word_eval,
 )
@@ -223,6 +226,30 @@ class TestWords:
             ("s1", "pi") * 6 + ("s2", "s1", "pi") * 7 + ("s3", "s2", "s1", "pi")
         )
         assert box_greedy_word((0, 4, 5, 1, 4)) == want
+
+    def test_box_greedy_word_is_box_by_box(self):
+        # the word peeled one first block at a time is the word of the
+        # boxes in cylindrical order, each with its block s_u(b) ... s_1 pi
+        for n in (1, 2, 3, 4):
+            for mu in itertools.product(range(4), repeat=n):
+                want = []
+                for i, j in boxes_of(mu):
+                    want.extend(f"s{k}" for k in range(u_stat(mu, i, j), 0, -1))
+                    want.append("pi")
+                assert box_greedy_word(mu) == tuple(want), mu
+
+    def test_first_box_block(self):
+        for n in (1, 2, 3, 4):
+            for mu in itertools.product(range(4), repeat=n):
+                if not any(mu):
+                    continue
+                nu, u = _first_box_block(mu)
+                i = next(r for r, m in enumerate(mu, 1) if m)
+                assert u == u_stat(mu, i, 1) == i - 1
+                assert sum(nu) == sum(mu) - 1
+                # the block's letters, run on nu, end at mu
+                block = tuple(f"s{k}" for k in range(u, 0, -1)) + ("pi",)
+                assert word_act_weight(block, nu) == mu, mu
 
     def test_column_greedy_examples(self):
         assert column_greedy_word((1, 1, 0)) == ("pi", "pi")

@@ -6,21 +6,23 @@ assertion showing the variant differs from the value forced by the
 defining eigenvalue property and the intertwiner chains.
 """
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
 from conftest import Q, T, compositions, frac, lp, partitions_in
 from maclab import hecke
 from maclab import permutations as fperm
-from maclab.affine import box_greedy_word
+from maclab.affine import _first_box_block, box_greedy_word
 from maclab.errors import InvalidInputError, InvariantViolation
 from maclab.laurent import LaurentPoly, _acc
 from maclab.macdonald import (
     _compute_E_poly,
+    _E_box,
     _E_form,
-    _first_box,
     closed_column,
     closed_n2,
     closed_single_box,
@@ -624,20 +626,6 @@ SMALL_WEIGHTS = [
 ]
 
 
-def _before_last_box(mu):
-    """The weight the walk to mu reaches before the block of the first
-    box of its box-greedy word, by walking the rest of the word."""
-    word = box_greedy_word(mu)
-    nu = (0,) * len(mu)
-    for letter in reversed(word[word.index("pi") + 1 :]):
-        if letter == "pi":
-            nu = (nu[-1] + 1,) + nu[:-1]
-        else:
-            i = int(letter[1:])
-            nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
-    return nu
-
-
 class TestKnopSahiPiLetter:
     """The walk's pi letter is x_1 g with the scalar q^(nu_n) (Knop,
     Sahi); the g_vee pi letter with its leading coefficient divided out
@@ -664,13 +652,13 @@ class TestKnopSahiPiLetter:
 
         monkeypatch.setattr(hecke, "_g", off_by_q)
         with pytest.raises(InvariantViolation, match="not monic"):
-            _E_form.__wrapped__((0, 1, 2))
+            _E_box.__wrapped__((0, 1, 2))
 
     def test_corrupt_pi_letter_on_a_cached_predecessor(self, monkeypatch):
         # the predecessor's form is right, so only the pi letter of the
         # last box runs the corrupt g, and the check on (0, 1, 2) catches it
         mu = (0, 1, 2)
-        nu = _before_last_box(mu)
+        nu, _ = _first_box_block(mu)
         assert sum(nu) == sum(mu) - 1
         _E_form(nu)
         real = hecke._g
@@ -681,7 +669,7 @@ class TestKnopSahiPiLetter:
 
         monkeypatch.setattr(hecke, "_g", off_by_q)
         with pytest.raises(InvariantViolation, match=r"E_\(0, 1, 2\) is not monic"):
-            _E_form.__wrapped__(mu)
+            _E_box.__wrapped__(mu)
 
 
 class TestBoxByBox:
@@ -689,28 +677,32 @@ class TestBoxByBox:
     before it, so the order in which weights are asked for must not
     change any of them."""
 
-    def test_first_box_is_the_first_block_of_the_word(self):
-        for mu in SMALL_WEIGHTS:
-            if any(mu):
-                word = box_greedy_word(mu)
-                u = word.index("pi")
-                assert word[:u] == tuple(f"s{k}" for k in range(u, 0, -1))
-                assert _first_box(mu) == (_before_last_box(mu), u), mu
-
     def test_long_cold_walks(self):
-        # a recursion level per box would pass Python's recursion limit;
+        # the chain of weights is built from the bottom up, so the stack
+        # does not grow with the boxes: under a recursion limit 40 frames
+        # above this one, cold weights of 1,200 to 3,000 boxes build.
         # E_(mu + (c, ..., c)) = (x_1 ... x_n)^c E_mu
+        cases = [((0,), 3000), ((0, 0), 1000), ((1, 0, 2), 400)]
+        want = {}
+        for mu, c in cases:
+            want[mu] = compute_E(mu).poly.mul_monomial((c,) * len(mu))
         _E_form.cache_clear()
-        for mu, c in [((0,), 3000), ((0, 0), 1000), ((1, 0, 2), 400)]:
-            big = tuple(m + c for m in mu)
-            want = compute_E(mu).poly.mul_monomial((c,) * len(mu))
-            assert compute_E(big).poly == want, big
+        _E_box.cache_clear()
+        _compute_E_poly.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            got = {mu: compute_E(tuple(m + c for m in mu)).poly for mu, c in cases}
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
     def test_cold_cache_in_both_orders(self):
         want = {mu: reference_walk(mu) for mu in SMALL_WEIGHTS}
         ascending = sorted(SMALL_WEIGHTS, key=sum)
         for order in (ascending, ascending[::-1]):
             _E_form.cache_clear()
+            _E_box.cache_clear()
             _compute_E_poly.cache_clear()
             for mu in order:
                 assert compute_E(mu).poly == want[mu], mu
