@@ -77,6 +77,8 @@ class LaurentPoly:
     @staticmethod
     def x(i: int, n: int) -> "LaurentPoly":
         """The variable x_i, 1-based."""
+        if not 1 <= i <= n:
+            raise InvalidInputError(f"x_{i} needs 1 <= i <= {n}")
         e = [0] * n
         e[i - 1] = 1
         return LaurentPoly(n, {tuple(e): RF_ONE}, _clean=True)
@@ -140,7 +142,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    # -- the operations used by the Hecke operators ----------------------
+    # -- coefficients and substitutions ----------------------------------
+    # (in the library only hecke's divided-difference reference route
+    # calls one of these, subst_perm; the operators run on numerators)
 
     def coeff(self, mu) -> RatFunc:
         """Coefficient of x^mu (zero when absent)."""

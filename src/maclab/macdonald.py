@@ -14,7 +14,8 @@ q and multiplies by x_1, so it runs no T_i and leaves E monic with no
 leading coefficient to divide out.  The walk runs on integer numerators
 over one shared denominator, and that form (S, N) is cached for every
 weight the walk passes, at each box boundary (`_E_box`, built from the
-bottom up by `_E_form`); E_mu is its join.
+bottom up by `_E_form`).  That step's cache is the only memo of E:
+`compute_E` joins the form on every call.
 
 Everything else is a Hecke-operator twist of some E, run on N with one
 join at the end and its scalar folded into S: E_mu^z and f_mu apply a
@@ -57,6 +58,8 @@ def _a_mu(mu, i: int) -> RatFunc:
 
 def eigen_data(mu, i: int) -> EigenData:
     mu = check_weight(mu)
+    if not 1 <= i <= len(mu) - 1:
+        raise InvalidInputError(f"index {i} out of range")
     a = _a_mu(mu, i)
     ainv = a.inverse()
     if mu[i - 1] == mu[i]:
@@ -71,6 +74,8 @@ def eigenvalue(mu, i: int) -> RatFunc:
     """The Y_i eigenvalue q^(-mu_i) t^(-(v_mu(i)-1) + (n-1)/2)."""
     mu = check_weight(mu)
     n = len(mu)
+    if not 1 <= i <= n:
+        raise InvalidInputError(f"Y_{i} needs 1 <= i <= {n}")
     v = fperm.v_increasing(mu)
     return RatFunc.q_power(-mu[i - 1]) * RatFunc.v_power(
         -2 * (v[i - 1] - 1) + (n - 1)
@@ -89,12 +94,11 @@ class MacdonaldResult:
 # E_mu by the intertwiner walk
 
 
-@lru_cache(maxsize=4096)
 def _E_form(mu):
     """E_mu as (S, N) with E_mu = S * sum N_e x^e (see hecke._split): S
-    is one RatFunc and each N_e lies in Z[q, v].  The result is shared,
-    so N is a read-only view: consumers run their letters into new
-    dicts.
+    is one RatFunc and each N_e lies in Z[q, v].  The result is the
+    one-box step's cached form, so N is a read-only view: consumers run
+    their letters into new dicts.
 
     E_mu is built one box at a time.  The box-greedy word of u_mu starts
     with the block s_u ... s_1 pi of its first box, and the rest of the
@@ -105,6 +109,9 @@ def _E_form(mu):
     and the stack stays two calls deep however many boxes mu has.  Every
     walk passes through the cached E of the weights on its way, and
     walks to weights that share a predecessor share its states.
+
+    `_E_box`'s cache is the only memo of E: this function and every
+    join run again on each call, and a cold start clears that one cache.
     """
     chain = [mu]
     while any(chain[-1]):
@@ -164,15 +171,10 @@ def _E_box(mu):
     return S, MappingProxyType(N)
 
 
-@lru_cache(maxsize=4096)
-def _compute_E_poly(mu) -> LaurentPoly:
-    return hecke._run(len(mu), *_E_form(mu), [])
-
-
 def compute_E(mu) -> MacdonaldResult:
     """The nonsymmetric Macdonald polynomial E_mu, mu in Z_{>=0}^n."""
     mu = check_weight(mu, nonneg=True)
-    return MacdonaldResult(mu, _compute_E_poly(mu), "operator-chain")
+    return MacdonaldResult(mu, hecke._join(len(mu), *_E_form(mu)), "operator-chain")
 
 
 def compute_E_rel(mu, z) -> MacdonaldResult:
@@ -204,7 +206,7 @@ def compute_f(mu) -> MacdonaldResult:
     """f_mu = t^(l(z_mu)/2) T_{z_mu} E_lambda, the KZ-family member."""
     mu = check_weight(mu, nonneg=True)
     S, N, z = _f_form(mu)
-    return MacdonaldResult(mu, hecke._run(len(mu), S, N, []), "operator-chain", z)
+    return MacdonaldResult(mu, hecke._join(len(mu), S, N), "operator-chain", z)
 
 
 def _orbit_numerators(lam, N):
@@ -242,7 +244,7 @@ def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
         for M in _orbit_numerators(lam, N):
             for e, p in M.items():
                 _acc(total, e, p)
-        return MacdonaldResult(lam, hecke._run(n, S, total, []), "operator-chain")
+        return MacdonaldResult(lam, hecke._join(n, S, total), "operator-chain")
     if method == "symmetrize":
         S, N = _E_form(lam)
         w_lam = hecke.poincare_stabilizer(lam)
@@ -500,10 +502,11 @@ def verify_eigen(mu) -> list:
     """Check Y_i E_mu = eigenvalue * E_mu for every i."""
     mu = check_weight(mu, nonneg=True)
     n = len(mu)
-    E = _compute_E_poly(mu)
+    S, N = _E_form(mu)
+    E = hecke._join(n, S, N)
     out = []
     for i in range(1, n + 1):
-        got = hecke._run(n, *_E_form(mu), hecke._Y_letters(i, n))
+        got = hecke._run(n, S, N, hecke._Y_letters(i, n))
         want = E.scale(eigenvalue(mu, i))
         out.append(_check(f"Y_{i} E_{mu}", got, want))
     return out
@@ -527,15 +530,16 @@ def verify_haction(mu, i: int) -> list:
         # swap roles so that mu_i > mu_{i+1}
         mu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
     n = len(mu)
-    E = _compute_E_poly(mu)
+    form = _E_form(mu)
+    E = hecke._join(n, *form)
     ed = eigen_data(mu, i)
     out = []
     # Y_(i+1), then Y_i^-1, on the cached form: one join
     letters = hecke._Y_letters(i + 1, n) + hecke._Y_letters(i, n, inverse=True)
-    yy = hecke._run(n, *_E_form(mu), letters)
+    yy = hecke._run(n, *form, letters)
     want = E.scale(ed.a_mu)
     out.append(_check(f"Y_{i}^-1 Y_{i + 1} E_{mu}", yy, want))
-    tTE = hecke._run(n, *_E_form(mu), [("tT", i)])
+    tTE = hecke._run(n, *form, [("tT", i)])
     if mu[i - 1] == mu[i]:
         tau = tTE + E.scale(one_minus(RF_T) / one_minus(ed.a_mu))
         out.append(CheckLine(f"t^1/2 tau_{i} E_{mu} = 0", tau.is_zero()))
@@ -543,10 +547,11 @@ def verify_haction(mu, i: int) -> list:
         out.append(_check(f"t^1/2 T_{i} E_{mu} = t E", tTE, want))
         return out
     smu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
-    Es = _compute_E_poly(smu)
+    sform = _E_form(smu)
+    Es = hecke._join(n, *sform)
     want = E.scale(-(one_minus(RF_T) / one_minus(ed.a_mu))) + Es
     out.append(_check(f"t^1/2 T_{i} E_{mu}", tTE, want))
-    tTEs = hecke._run(n, *_E_form(smu), [("tT", i)])
+    tTEs = hecke._run(n, *sform, [("tT", i)])
     want = E.scale(ed.d_mu) - Es.scale(one_minus(RF_T) / one_minus(ed.a_simu))
     out.append(_check(f"t^1/2 T_{i} E_{smu}", tTEs, want))
     tau = tTE + E.scale(one_minus(RF_T) / one_minus(ed.a_mu))
@@ -571,7 +576,7 @@ def verify_kz(lam) -> list:
     orbit = fperm.weight_orbit(lam)
     # the letters run on each f_nu's numerators, so nothing is split again
     forms = {nu: _f_form(nu)[:2] for nu in orbit}
-    fs = {nu: hecke._run(n, *forms[nu], []) for nu in orbit}
+    fs = {nu: hecke._join(n, *forms[nu]) for nu in orbit}
     out = []
     for nu in orbit:
         for i in range(1, n):

@@ -8,7 +8,7 @@ every n, so `verify --suite all` finishes quickly at small n.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from . import diagrams, macdonald
 from . import permutations as fperm
@@ -16,16 +16,33 @@ from .macdonald import CheckLine
 
 
 def _weights(n, total):
+    """Every weight of length n with at most `total` boxes: by size,
+    then in lexicographic order."""
     for s in range(total + 1):
-        for c in product(range(s + 1), repeat=n):
-            if sum(c) == s:
-                yield c
+        # stars and bars: n - 1 bars among s + n - 1 places, in
+        # lexicographic order, give the parts in lexicographic order
+        for bars in combinations(range(s + n - 1), n - 1):
+            yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (s + n - 1,)))
 
 
 def _partitions(n, boxes):
-    for mu in _weights(n, boxes):
-        if list(mu) == sorted(mu, reverse=True):
-            yield mu
+    """The weakly decreasing weights among `_weights(n, boxes)`, in the
+    same order."""
+    for s in range(boxes + 1):
+        yield from _decreasing(n, s, s)
+
+
+def _decreasing(n, s, top):
+    """The weakly decreasing weights of length n and size s with parts
+    at most top, in lexicographic order."""
+    if n == 0:
+        if s == 0:
+            yield ()
+        return
+    # the first part is the largest, so it is at least s / n
+    for a in range(-(-s // n), min(s, top) + 1):
+        for rest in _decreasing(n - 1, s - a, a):
+            yield (a,) + rest
 
 
 def suite_eigen(n: int):

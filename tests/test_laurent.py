@@ -36,6 +36,12 @@ class TestArith:
         g = lp(3, {(1, 0, 0): RatFunc.from_int(0)})
         assert g.terms == {}
 
+    def test_variable_index_out_of_range(self):
+        # index 0 would wrap to x_n through e[-1]
+        for i in (0, 4, -1):
+            with pytest.raises(InvalidInputError):
+                LaurentPoly.x(i, 3)
+
     def test_monomial_shift_needs_length_n(self):
         # zip would truncate a short shift and leave a short exponent
         assert x1.mul_monomial((0, 1, -1)) == lp(3, {(1, 1, -1): RF_ONE})

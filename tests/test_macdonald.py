@@ -20,7 +20,6 @@ from maclab.affine import _first_box_block, box_greedy_word
 from maclab.errors import InvalidInputError, InvariantViolation
 from maclab.laurent import LaurentPoly, _acc
 from maclab.macdonald import (
-    _compute_E_poly,
     _E_box,
     _E_form,
     closed_column,
@@ -299,6 +298,12 @@ class TestEigen:
             assert eigenvalue((1, 2, 0), i) == lam
         assert all(line.ok for line in verify_eigen((1, 2, 0)))
 
+    def test_eigenvalue_index_out_of_range(self):
+        # index 0 would wrap to Y_n through mu[-1]
+        for i in (0, 4):
+            with pytest.raises(InvalidInputError):
+                eigenvalue((1, 2, 3), i)
+
     def test_monic(self):
         for mu in [(2, 1, 0), (0, 3, 1), (2, 2, 0), (4, 0)]:
             assert compute_E(mu).poly.coeff(mu) == RF_ONE
@@ -356,6 +361,13 @@ class TestHAction:
     def test_eigen_data_equal_parts(self):
         ed = eigen_data((1, 1, 0), 1)
         assert ed.a_mu == RatFunc.t_power(-1)
+
+    def test_eigen_data_index_out_of_range(self):
+        # the pair (i, i + 1) needs 1 <= i <= n - 1; index 0 would wrap
+        # to the pair (n, 1) through mu[-1]
+        for i in (0, 3):
+            with pytest.raises(InvalidInputError):
+                eigen_data((2, 1, 0), i)
 
 
 class TestKZ:
@@ -614,7 +626,7 @@ def gvee_walk(mu):
             N = out
             S = S / RatFunc(den)
             nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
-    return hecke._run(n, S, N, [])
+    return hecke._join(n, S, N)
 
 
 # the weights of n = 2, 3, 4 with parts below 4 and at most 6 boxes
@@ -686,9 +698,8 @@ class TestBoxByBox:
         want = {}
         for mu, c in cases:
             want[mu] = compute_E(mu).poly.mul_monomial((c,) * len(mu))
-        _E_form.cache_clear()
+        # the one-box step's cache is the only memo of E
         _E_box.cache_clear()
-        _compute_E_poly.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 40)
         try:
@@ -701,9 +712,7 @@ class TestBoxByBox:
         want = {mu: reference_walk(mu) for mu in SMALL_WEIGHTS}
         ascending = sorted(SMALL_WEIGHTS, key=sum)
         for order in (ascending, ascending[::-1]):
-            _E_form.cache_clear()
             _E_box.cache_clear()
-            _compute_E_poly.cache_clear()
             for mu in order:
                 assert compute_E(mu).poly == want[mu], mu
 

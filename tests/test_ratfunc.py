@@ -18,8 +18,7 @@ from maclab.errors import (
     ZeroDenominatorError,
 )
 from maclab.macdonald import (
-    _compute_E_poly,
-    _E_form,
+    _E_box,
     compute_E,
     compute_E_rel,
     compute_P,
@@ -343,19 +342,19 @@ class TestNoGcd:
 
         monkeypatch.setattr(IntPoly2, "gcd", refuse)
         monkeypatch.setattr(IntPoly2, "cofactors", refuse)
-        # start cold, so nothing comes from results memoized earlier: the
-        # walk's (S, N) form and its join are cached apart
-        _E_form.cache_clear()
-        _compute_E_poly.cache_clear()
+        # start cold, so every walk runs here: the one-box step's cache is
+        # the only memo of E
+        _E_box.cache_clear()
         ratfunc._factor.cache_clear()
         try:
             assert len(compute_E((1, 0, 3, 4)).poly.terms) > 0
             assert len(compute_P((3, 2, 1, 0)).poly.terms) > 0
             assert len(compute_E_rel((2, 0, 0, 3), (4, 1, 2, 3)).poly.terms) > 0
             assert len(cst_expand((3, 1), 3).poly.terms) > 0
+            # the walks ran here: one step per box state of E_(1,0,3,4)
+            assert _E_box.cache_info().misses >= sum((1, 0, 3, 4)) + 1
         finally:
-            _E_form.cache_clear()
-            _compute_E_poly.cache_clear()
+            _E_box.cache_clear()
 
 
 class TestLineExquo:
