@@ -28,15 +28,20 @@ def _parse_ints(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _print_doc(args, verb, mu, **fields):
-    """Print one JSON document: the common header, then fields in order."""
+def _print_doc(args, verb, mu, terms=None, **fields):
+    """Print one JSON document: the common header, then fields in order,
+    then `terms`, the JSON text of a polynomial, when given."""
     doc = {"schema": SCHEMA, "command": verb, "n": args.n, "mu": list(mu), **fields}
-    print(json.dumps(doc, separators=(",", ":")))
+    text = json.dumps(doc, separators=(",", ":"))
+    if terms is None:
+        print(text)
+    else:  # spliced in as the last field, without parsing it
+        print(text[:-1], ',"terms":', terms, "}", sep="")
 
 
 def _emit_poly(args, verb, mu, poly, **extra):
     if args.format == "json":
-        _print_doc(args, verb, mu, **extra, terms=poly.to_json_obj())
+        _print_doc(args, verb, mu, **extra, terms=poly.to_json())
     elif args.format == "latex":
         print(poly.to_string(latex=True))
     else:

@@ -191,27 +191,43 @@ class LaurentPoly:
     def has_even_v(self) -> bool:
         return all(c.has_even_v() for c in self.terms.values())
 
-    def to_json_obj(self):
-        """The terms as [{"x": exponents, "coeff": coefficient}, ...], for
-        serialising.  Terms that share one coefficient object share its
-        JSON object too, so treat the result as read-only: editing one
-        term's "coeff" edits every term that shares it."""
+    def to_json(self) -> str:
+        """The terms as JSON text, [{"x": exponents, "coeff": coefficient},
+        ...] sorted by exponent: the "terms" field of a document.  Each
+        distinct coefficient object and each distinct denominator is
+        rendered once."""
         # many terms share one coefficient object (hecke._join makes one
         # RatFunc per distinct numerator); keyed by identity, no RatFunc
         # is hashed
         coeffs = {}
-        out = []
+        dens = {}
+        args = []
         for e, c in self.sorted_terms():
-            obj = coeffs.get(id(c))
-            if obj is None:
-                obj = coeffs[id(c)] = c.to_json_obj()
-            out.append({"x": list(e), "coeff": obj})
-        return out
+            cs = coeffs.get(id(c))
+            if cs is None:
+                cs = coeffs[id(c)] = c._json(dens)
+            args += e
+            args.append(cs)
+        # the whole array in one % call, so no text is copied twice
+        term = '{"x":[' + ",".join(["%d"] * self.n) + '],"coeff":%s}'
+        return ("[" + ",".join([term] * len(self.terms)) + "]") % tuple(args)
+
+    def to_json_obj(self):
+        """The terms as [{"x": exponents, "coeff": coefficient}, ...],
+        parsed from `to_json`."""
+        import json
+
+        return json.loads(self.to_json())
 
     def to_string(self, latex: bool = False) -> str:
         """Human-readable form with coefficients rendered in q, t."""
         if not self.terms:
             return "0"
+        sep = " " if latex else "*"
+        # id(c) -> (c alone, c as the factor before a monomial), rendered
+        # once per distinct coefficient
+        coeffs = {}
+        dens = {}
         bits = []
         for e, c in self.sorted_terms():
             mono = []
@@ -223,21 +239,20 @@ class LaurentPoly:
                     mono.append(name)
                 else:
                     mono.append(f"{name}^{{{a}}}" if latex else f"{name}^{a}")
-            mono_s = (" " if latex else "*").join(mono)
-            cs = c.to_t_string(latex=latex)
-            if c.is_one() and mono_s:
-                bits.append(mono_s)
-            elif not mono_s:
-                bits.append(cs)
-            else:
-                sep = " " if latex else "*"
-                if c.is_v_monomial():
-                    wrap = cs
+            mono_s = sep.join(mono)
+            r = coeffs.get(id(c))
+            if r is None:
+                cs = c._t_string(latex, dens)
+                if c.is_one():
+                    wrap = ""
+                elif c.is_v_monomial():
+                    wrap = cs + sep
                 elif latex:
-                    wrap = f"\\left({cs}\\right)"
+                    wrap = f"\\left({cs}\\right){sep}"
                 else:
-                    wrap = f"({cs})"
-                bits.append(f"{wrap}{sep}{mono_s}")
+                    wrap = f"({cs}){sep}"
+                r = coeffs[id(c)] = (cs, wrap)
+            bits.append(r[1] + mono_s if mono_s else r[0])
         return " + ".join(bits)
 
     def __repr__(self):

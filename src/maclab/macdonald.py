@@ -523,6 +523,13 @@ def verify_haction(mu, i: int) -> list:
       Y_i^-1 Y_{i+1} E = t^-1 E,  t^(1/2) tau_i E = 0,  t^(1/2) T_i E = t E.
     An ascent mu_i < mu_{i+1} is checked at s_i mu.
     """
+    return _verify_haction(mu, i, {})
+
+
+def _verify_haction(mu, i, joined):
+    """`verify_haction`, taking E_nu from joined (nu -> joined E_nu),
+    which it fills: a caller checking many (mu, i) keeps one dict for its
+    run, so each E is joined once."""
     mu = check_weight(mu, nonneg=True)
     if not 1 <= i <= len(mu) - 1:
         raise InvalidInputError(f"index {i} out of range")
@@ -531,7 +538,7 @@ def verify_haction(mu, i: int) -> list:
         mu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
     n = len(mu)
     form = _E_form(mu)
-    E = hecke._join(n, *form)
+    E = _joined(mu, form, joined)
     ed = eigen_data(mu, i)
     out = []
     # Y_(i+1), then Y_i^-1, on the cached form: one join
@@ -548,7 +555,7 @@ def verify_haction(mu, i: int) -> list:
         return out
     smu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
     sform = _E_form(smu)
-    Es = hecke._join(n, *sform)
+    Es = _joined(smu, sform, joined)
     want = E.scale(-(one_minus(RF_T) / one_minus(ed.a_mu))) + Es
     out.append(_check(f"t^1/2 T_{i} E_{mu}", tTE, want))
     tTEs = hecke._run(n, *sform, [("tT", i)])
@@ -560,6 +567,14 @@ def verify_haction(mu, i: int) -> list:
     want = E.scale(ed.d_mu)
     out.append(_check(f"t^1/2 tau_{i} E_{smu} = D E_{mu}", taus, want))
     return out
+
+
+def _joined(mu, form, joined):
+    """E_mu from joined, else joined from its form and kept there."""
+    E = joined.get(mu)
+    if E is None:
+        E = joined[mu] = hecke._join(len(mu), *form)
+    return E
 
 
 def verify_kz(lam) -> list:

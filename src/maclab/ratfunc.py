@@ -601,12 +601,29 @@ class RatFunc:
     # -- presentation ---------------------------------------------------
 
     def to_json_obj(self):
-        def side(p):
-            return [
-                {"q": eq, "v": ev, "c": str(c)} for (eq, ev), c in poly_terms(p)
-            ]
+        """{"num": side, "den": side}, each side [{"q", "v", "c"}, ...]
+        lex-descending, parsed from the text `_json` renders."""
+        import json
 
-        return {"num": side(self.num), "den": side(self.den)}
+        return json.loads(self._json({}))
+
+    def _json(self, dens):
+        """The JSON text of this fraction, its denominator's through
+        `_den_text`."""
+        return '{"num":%s,"den":%s}' % (
+            _json_side(self.num),
+            self._den_text(dens, _json_side),
+        )
+
+    def _den_text(self, dens, render):
+        """render(self.den), memoized in dens for one document by the
+        denominator's factor multiset, so a denominator shared by many
+        coefficients is expanded and rendered once."""
+        key = (self._c, frozenset(self._fac.items()))
+        ds = dens.get(key)
+        if ds is None:
+            ds = dens[key] = render(self.den)
+        return ds
 
     def _poly_t_str(self, p, latex: bool) -> str:
         sep = " " if latex else "*"
@@ -618,6 +635,10 @@ class RatFunc:
 
         parts = []
         for (eq, ev), c in poly_terms(p):
+            if ev % 2:
+                raise InvalidInputError(
+                    "odd power of t^(1/2); cannot render in q, t"
+                )
             factors = []
             if eq:
                 factors.append(power("q", eq))
@@ -634,14 +655,14 @@ class RatFunc:
 
     def to_t_string(self, latex: bool = False) -> str:
         """Render in the variables q, t.  Requires even v-exponents."""
-        if not self.has_even_v():
-            raise InvalidInputError(
-                "odd power of t^(1/2); cannot render in q, t"
-            )
+        return self._t_string(latex, {})
+
+    def _t_string(self, latex, dens):
+        """`to_t_string`, its denominator's text through `_den_text`."""
         ns = self._poly_t_str(self.num, latex)
-        if self.den == _ONE:
+        if not self._fac and self._c == 1:
             return ns
-        ds = self._poly_t_str(self.den, latex)
+        ds = self._den_text(dens, lambda p: self._poly_t_str(p, latex))
         if latex:
             return f"\\frac{{{ns}}}{{{ds}}}"
         return f"({ns})/({ds})"
@@ -650,6 +671,14 @@ class RatFunc:
         if self.den == _ONE:
             return f"RatFunc('{self.num}')"
         return f"RatFunc('({self.num})/({self.den})')"
+
+
+def _json_side(p):
+    """The IntPoly2 p as the JSON text of [{"q": .., "v": .., "c": ".."},
+    ...], lex-descending, in one % call."""
+    terms = p.terms()
+    text = "[" + ",".join(['{"q":%d,"v":%d,"c":"%d"}'] * len(terms)) + "]"
+    return text % tuple(x for (eq, ev), c in terms for x in (eq, ev, c))
 
 
 def _lift(cs):

@@ -1,18 +1,101 @@
 """The Laurent polynomial carrier ring."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Q, T, frac, laurent_polys, lp, random_laurent
 from maclab import permutations as fperm
 from maclab.errors import InvalidInputError
 from maclab.laurent import LaurentPoly, lp_arith, lp_coeff, lp_shift_qn, lp_subst_perm
-from maclab.macdonald import compute_E
-from maclab.ratfunc import RF_ONE, RatFunc
+from maclab.macdonald import compute_E, compute_F, compute_P
+from maclab.ratfunc import RF_ONE, RatFunc, one_minus, poly_terms
 
 x1, x2, x3 = (LaurentPoly.x(i, 3) for i in (1, 2, 3))
+
+
+# -- the reference renderers: a dict per term and per coefficient, and the
+# plain or LaTeX form one term at a time, with nothing shared between terms
+
+
+def reference_coeff_json(c):
+    def side(p):
+        return [{"q": eq, "v": ev, "c": str(k)} for (eq, ev), k in poly_terms(p)]
+
+    return {"num": side(c.num), "den": side(c.den)}
+
+
+def reference_json(f):
+    return [
+        {"x": list(e), "coeff": reference_coeff_json(c)} for e, c in f.sorted_terms()
+    ]
+
+
+def reference_string(f, latex):
+    if not f.terms:
+        return "0"
+    sep = " " if latex else "*"
+    bits = []
+    for e, c in f.sorted_terms():
+        mono = []
+        for i, a in enumerate(e):
+            if a == 0:
+                continue
+            name = f"x_{{{i + 1}}}" if latex else f"x{i + 1}"
+            if a == 1:
+                mono.append(name)
+            else:
+                mono.append(f"{name}^{{{a}}}" if latex else f"{name}^{a}")
+        mono_s = sep.join(mono)
+        cs = c.to_t_string(latex=latex)
+        if c.is_one() and mono_s:
+            bits.append(mono_s)
+        elif not mono_s:
+            bits.append(cs)
+        else:
+            if c.is_v_monomial():
+                wrap = cs
+            elif latex:
+                wrap = f"\\left({cs}\\right)"
+            else:
+                wrap = f"({cs})"
+            bits.append(f"{wrap}{sep}{mono_s}")
+    return " + ".join(bits)
+
+
+def assert_renders_as_reference(f):
+    want = reference_json(f)
+    assert f.to_json() == json.dumps(want, separators=(",", ":"))
+    assert f.to_json_obj() == want
+    for c in f.terms.values():
+        assert c.to_json_obj() == reference_coeff_json(c)
+    for latex in (False, True):
+        if f.has_even_v():
+            assert f.to_string(latex) == reference_string(f, latex)
+        else:
+            with pytest.raises(InvalidInputError):
+                f.to_string(latex)
+
+
+@st.composite
+def shared_coefficient_polys(draw, n):
+    """laurent_polys(n) with some terms set to the coefficient object of
+    another term, as hecke._join shares one RatFunc per numerator."""
+    f = draw(laurent_polys(n))
+    rng = draw(st.randoms(use_true_random=False))
+    pool = list(f.terms.values())
+    terms = dict(f.terms)
+    for _ in range(rng.randint(0, 4) if pool else 0):
+        e = tuple(rng.randint(-2, 2) for _ in range(n))
+        terms[e] = rng.choice(pool)
+    return LaurentPoly(n, terms)
 
 
 class TestArith:
@@ -128,6 +211,53 @@ class TestPresentation:
         f = x2 + x1.scale(frac(1, 2))
         obj = f.to_json_obj()
         assert [d["x"] for d in obj] == [[0, 1, 0], [1, 0, 0]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(shared_coefficient_polys(2))
+    def test_renders_as_the_reference(self, f):
+        assert_renders_as_reference(f)
+
+    def test_coefficients_sharing_a_denominator(self):
+        # equal denominators with different numerators, equal numerators
+        # with different denominators, denominators told apart only by
+        # their integer part or by a multiplicity, and one denominator
+        # with its factors in two orders: a memo keyed by anything coarser
+        # than the coefficient object, or a denominator memo keyed by
+        # anything coarser than the factor multiset, prints a wrong
+        # coefficient
+        t = RatFunc.t_power(1)
+        a = one_minus(Q * t).inverse()
+        b = one_minus(Q * Q * t).inverse()
+        half, third = RatFunc.from_int(2).inverse(), RatFunc.from_int(3).inverse()
+        coeffs = [a, Q * a, b, Q * b, half, third, Q * half, a * b, b * a, a * a]
+        f = LaurentPoly(1, {(k,): c for k, c in enumerate(coeffs)})
+        assert_renders_as_reference(f)
+        assert f.to_string() == (
+            "(-1)/(q*t - 1) + ((-q)/(q*t - 1))*x1 + ((-1)/(q^2*t - 1))*x1^2"
+            " + ((-q)/(q^2*t - 1))*x1^3 + ((1)/(2))*x1^4 + ((1)/(3))*x1^5"
+            " + ((q)/(2))*x1^6 + ((1)/(q^3*t^2 - q^2*t - q*t + 1))*x1^7"
+            " + ((1)/(q^3*t^2 - q^2*t - q*t + 1))*x1^8"
+            " + ((1)/(q^2*t^2 - 2*q*t + 1))*x1^9"
+        )
+
+    def test_import_loads_no_json(self):
+        # documents are built as text; json loads only where one is parsed
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, maclab; print(sorted(m for m in sys.modules if 'json' in m))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_documents_of_the_constructions(self):
+        # coefficient objects shared by many terms, as the joins make them
+        # (F_(0,1,2) has odd powers of t^(1/2), so only its JSON renders)
+        for f in (compute_P((3, 1, 0)).poly, compute_F((0, 1, 2)).poly):
+            assert len({id(c) for c in f.terms.values()}) < len(f.terms)
+            assert_renders_as_reference(f)
 
 
 class TestProperties:

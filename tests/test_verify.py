@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from maclab import verify
+from maclab import hecke, macdonald, verify
 
 
 def product_weights(n, total):
@@ -34,3 +34,31 @@ def test_weights_do_not_walk_every_tuple():
     assert time.perf_counter() - start < 1.0
     assert len(weights) == comb(33, 3) == 5456
     assert len(set(weights)) == len(weights)
+
+
+def test_haction_suite_joins_each_E_once(monkeypatch):
+    # n = 4 has 39 ties and 33 descents over 35 distinct weights: one
+    # join per operator run (Y_i^-1 Y_(i+1) E and t^(1/2) T_i E, plus
+    # t^(1/2) T_i E_(s_i mu) at a descent) and one per distinct E makes
+    # 2 * 39 + 3 * 33 + 35 = 212; joining E and E_(s_i mu) on every
+    # (mu, i) made 282
+    calls = []
+    join = hecke._join
+
+    def counted(n, S, N):
+        calls.append(n)
+        return join(n, S, N)
+
+    monkeypatch.setattr(hecke, "_join", counted)
+    lines = verify.suite_haction(4)
+    assert len(lines) == 282 and all(line.ok for line in lines)
+    assert len(calls) == 212
+
+
+def test_verify_haction_alone_keeps_its_checks():
+    # the public check takes no memo and returns what the suite does
+    joined = {}
+    for mu, i in (((2, 1, 0), 1), ((0, 2, 1), 1), ((1, 1, 0), 1)):
+        want = macdonald._verify_haction(mu, i, joined)
+        got = macdonald.verify_haction(mu, i)
+        assert [(c.name, c.ok) for c in got] == [(c.name, c.ok) for c in want]
