@@ -16,11 +16,14 @@ operator is a list of letters, and one executor (`_run`) applies them
 to the N_e: t^(1/2) T_i needs only polynomial adds and a shift by v^2,
 and g^(+-1) rotates the exponents and shifts by powers of q.  The
 leftover powers of q and v are folded into S once, and one `_join`
-rebuilds canonical coefficients; `macdonald` runs its letters on the
+rebuilds canonical coefficients.  `apply_operator_word` is the one
+public way to apply an operator, and `macdonald` runs its letters on the
 cached numerator form of E_mu without a split.
 """
 
 from __future__ import annotations
+
+import re
 
 from . import permutations as fperm
 from .errors import InvalidInputError, InvariantViolation
@@ -163,21 +166,6 @@ def _apply(f: LaurentPoly, letters) -> LaurentPoly:
     return _run(f.n, *_split(f), letters)
 
 
-def apply_tT(i: int, f: LaurentPoly) -> LaurentPoly:
-    """t^(1/2) T_i f (see `_tT`)."""
-    return _apply(f, [("tT", i)])
-
-
-def apply_T(i: int, f: LaurentPoly) -> LaurentPoly:
-    """T_i f."""
-    return _apply(f, [("T", i)])
-
-
-def apply_T_inv(i: int, f: LaurentPoly) -> LaurentPoly:
-    """T_i^(-1) f = t^(-1/2) (t^(1/2) T_i - (t - 1)) f."""
-    return _apply(f, [("T^-1", i)])
-
-
 def divided_difference_part(i: int, f: LaurentPoly) -> LaurentPoly:
     """(t x_i - x_{i+1}) (f - s_i f) / (x_i - x_{i+1}) by exact division.
 
@@ -220,26 +208,14 @@ def lp_divexact_xdiff(f: LaurentPoly, i: int) -> LaurentPoly:
 
 
 def apply_T_reference(i: int, f: LaurentPoly) -> LaurentPoly:
-    """T_i through the explicit divided difference; used as an oracle."""
+    """T_i through the explicit divided difference.
+
+    This is the oracle for `_tT`, the rule every operator runs: it
+    shares no code with it (no numerators, no geometric sum), so the
+    tests check the fast rule and the words built on it against this
+    route.
+    """
     return (f.scale(RF_T) - divided_difference_part(i, f)).scale(_VINV)
-
-
-# ---------------------------------------------------------------------------
-# g, g_vee, Y_i
-
-def apply_g(f: LaurentPoly) -> LaurentPoly:
-    """g f: substitute x_n -> q^(-1) x_n, then x_i -> x_(i+1 mod n)."""
-    return _apply(f, [("g", None)])
-
-
-def apply_g_inv(f: LaurentPoly) -> LaurentPoly:
-    """g^(-1) f: substitute x_i -> x_(i-1 mod n), then x_n -> q x_n."""
-    return _apply(f, [("g^-1", None)])
-
-
-def apply_gvee(f: LaurentPoly) -> LaurentPoly:
-    """g_vee f = x_1 T_1 ... T_{n-1} f (T_{n-1} first)."""
-    return _apply(f, [("gvee", None)])
 
 
 _INVERSE = {"T": "T^-1", "T^-1": "T", "g": "g^-1"}
@@ -256,62 +232,6 @@ def _Y_letters(i: int, n: int, inverse: bool = False):
     if inverse:
         return [(_INVERSE[name], j) for name, j in reversed(letters)]
     return letters
-
-
-def apply_Y(i: int, f: LaurentPoly) -> LaurentPoly:
-    """Y_i f (see `_Y_letters`)."""
-    return _apply(f, _Y_letters(i, f.n))
-
-
-def apply_Y_inv(i: int, f: LaurentPoly) -> LaurentPoly:
-    """Y_i^(-1) f = T_{i-1} ... T_1 Y_1^(-1) T_1 ... T_{i-1} f with
-    Y_1^(-1) = T_1^(-1) ... T_{n-1}^(-1) g^(-1)."""
-    return _apply(f, _Y_letters(i, f.n, inverse=True))
-
-
-# ---------------------------------------------------------------------------
-# operator words, T_z, the symmetrizer, and X^{omega_r}
-
-
-def apply_operator_word(word, f: LaurentPoly) -> LaurentPoly:
-    """Apply a word of operator tags, rightmost tag first.
-
-    Tags: 'T<i>', 'T<i>^-1', 'Y<i>', 'g', 'g^-1', 'gvee', '1_0'.
-
-    >>> from .laurent import LaurentPoly
-    >>> f = LaurentPoly.x(1, 2)
-    >>> apply_operator_word(["T1^-1", "T1"], f) == f
-    True
-    """
-    n = f.n
-    letters = []
-    for tag in reversed(list(word)):
-        if tag in ("g", "g^-1", "gvee", "1_0"):
-            letters.append((tag, None))
-        elif tag.startswith("T") and tag.endswith("^-1"):
-            letters.append(("T^-1", _op_index(tag[1:-3], n, n - 1)))
-        elif tag.startswith("T"):
-            letters.append(("T", _op_index(tag[1:], n, n - 1)))
-        elif tag.startswith("Y"):
-            letters.extend(_Y_letters(_op_index(tag[1:], n, n), n))
-        else:
-            raise InvalidInputError(f"bad operator tag {tag!r}")
-    return _apply(f, letters)
-
-
-def _op_index(text, n, top):
-    try:
-        i = int(text)
-    except ValueError:
-        raise InvalidInputError(f"bad operator index {text!r}")
-    if not 1 <= i <= top:
-        raise InvalidInputError(f"operator index {i} out of range for n={n}")
-    return i
-
-
-def apply_tT_word(word, f: LaurentPoly) -> LaurentPoly:
-    """t^(l(z)/2) T_z f along a reduced word, rightmost letter first."""
-    return _apply(f, [("tT", i) for i in reversed(list(word))])
 
 
 def _symmetrize(N, n: int):
@@ -333,14 +253,48 @@ def _symmetrize(N, n: int):
     return total
 
 
-def hecke_symmetrize_sum(f: LaurentPoly) -> LaurentPoly:
-    """sum over z in S_n of t^(l(z)/2) T_z f (see `_symmetrize`)."""
-    return _apply(f, [("sum", None)])
+# ---------------------------------------------------------------------------
+# operator words and X^{omega_r}
+
+_PLAIN_TAGS = ("g", "g^-1", "gvee", "1_0")
+_INDEXED_TAG = re.compile(r"([TY])([0-9]+)(\^-1)?")
 
 
-def apply_symmetrizer(f: LaurentPoly) -> LaurentPoly:
-    """1_0 f = t^(-l(w0)/2) sum_z t^(l(z)/2) T_z f."""
-    return _apply(f, [("1_0", None)])
+def apply_operator_word(word, f: LaurentPoly) -> LaurentPoly:
+    """Apply a word of operator tags, rightmost tag first, in one split
+    and one join.
+
+    The tags are exactly these, with i written in decimal digits:
+
+      T<i>, T<i>^-1   T_i and T_i^(-1), 1 <= i <= n - 1
+      Y<i>, Y<i>^-1   Y_i and Y_i^(-1), 1 <= i <= n
+      g, g^-1         g and g^(-1)
+      gvee            g_vee
+      1_0             the symmetrizer 1_0
+
+    Any other tag, or an index out of range, raises InvalidInputError.
+
+    >>> from .laurent import LaurentPoly
+    >>> f = LaurentPoly.x(1, 2)
+    >>> apply_operator_word(["T1^-1", "T1"], f) == f
+    True
+    >>> apply_operator_word(["Y2^-1", "Y2"], f) == f
+    True
+    """
+    letters = []
+    for tag in reversed(list(word)):
+        if tag in _PLAIN_TAGS:
+            letters.append((tag, None))
+            continue
+        m = _INDEXED_TAG.fullmatch(tag) if isinstance(tag, str) else None
+        if m is None:
+            raise InvalidInputError(f"bad operator tag {tag!r}")
+        op, i, inverse = m[1], int(m[2]), m[3] is not None
+        if op == "T":  # `_run` checks i
+            letters.append(("T^-1" if inverse else "T", i))
+        else:
+            letters.extend(_Y_letters(i, f.n, inverse))
+    return _apply(f, letters)
 
 
 def poincare_poly(n: int) -> RatFunc:
@@ -366,36 +320,15 @@ def poincare_stabilizer(lam) -> RatFunc:
     return out * poincare_poly(m)
 
 
-def _coset_word_A(r: int, n: int):
-    """Reduced word of w_r, descending runs: (s_{n-r} .. s_1)(s_{n-r+1} .. s_2)..."""
-    word = []
-    for m in range(1, r + 1):
-        word.extend(range(n - r + m - 1, m - 1, -1))
-    return word
-
-
-def _coset_word_B(r: int, n: int):
-    """Reduced word of w_r, ascending runs: (s_{n-r} .. ) down to (s_1 ..)."""
-    word = []
-    for k in range(n - r, 0, -1):
-        word.extend(range(k, k + r))
-    return word
-
-
-def apply_X_omega(r: int, f: LaurentPoly, word_form: str = "A") -> LaurentPoly:
+def apply_X_omega(r: int, f: LaurentPoly) -> LaurentPoly:
     """X^{omega_r} f = (g_vee)^r T_{w_r}^(-1) f.
 
     In the polynomial representation this is multiplication by
-    x_1 ... x_r.  word_form, "A" or "B", selects one of the two reduced
-    words of w_r.
+    x_1 ... x_r.  The reduced word of w_r runs in descending runs,
+    (s_{n-r} .. s_1)(s_{n-r+1} .. s_2) ... (s_{n-1} .. s_r).
     """
     n = f.n
     if not 1 <= r <= n:
         raise InvalidInputError(f"X^omega_{r} needs 1 <= r <= {n}")
-    if word_form == "A":
-        word = _coset_word_A(r, n)
-    elif word_form == "B":
-        word = _coset_word_B(r, n)
-    else:
-        raise InvalidInputError(f"word_form must be 'A' or 'B', not {word_form!r}")
+    word = [j for m in range(1, r + 1) for j in range(n - r + m - 1, m - 1, -1)]
     return _apply(f, [("T^-1", i) for i in reversed(word)] + [("gvee", None)] * r)

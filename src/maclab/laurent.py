@@ -221,6 +221,14 @@ class LaurentPoly:
 
     def to_string(self, latex: bool = False) -> str:
         """Human-readable form with coefficients rendered in q, t."""
+        return self._string(latex, False)
+
+    def _readable(self) -> str:
+        """`to_string()`, or the same in q and v = t^(1/2) when a
+        coefficient carries an odd power of v, which q, t cannot show."""
+        return self._string(False, not self.has_even_v())
+
+    def _string(self, latex, in_v):
         if not self.terms:
             return "0"
         sep = " " if latex else "*"
@@ -242,7 +250,7 @@ class LaurentPoly:
             mono_s = sep.join(mono)
             r = coeffs.get(id(c))
             if r is None:
-                cs = c._t_string(latex, dens)
+                cs = c._t_string(latex, dens, in_v)
                 if c.is_one():
                     wrap = ""
                 elif c.is_v_monomial():
@@ -256,7 +264,7 @@ class LaurentPoly:
         return " + ".join(bits)
 
     def __repr__(self):
-        return f"LaurentPoly({self.n}, '{self.to_string()}')"
+        return f"LaurentPoly({self.n}, '{self._readable()}')"
 
 
 def lp_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:

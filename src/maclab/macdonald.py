@@ -210,8 +210,8 @@ def compute_f(mu) -> MacdonaldResult:
 
 
 def _orbit_numerators(lam, N):
-    """Yield the numerators of f_nu, over the S of E_lam, for every nu
-    in the orbit of lam.
+    """Yield (nu, M) for every nu in the orbit of lam, with M the
+    numerators of f_nu over the S of E_lam.
 
     f_lam = E_lam, and f_(s_i nu) = t^(1/2) T_i f_nu at each descent
     nu_i > nu_(i+1).  Each nu other than lam is reached once, from
@@ -222,7 +222,7 @@ def _orbit_numerators(lam, N):
     stack = [(lam, N)]
     while stack:
         nu, M = stack.pop()
-        yield M
+        yield nu, M
         for i in range(1, n):
             if nu[i - 1] > nu[i]:
                 snu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
@@ -241,7 +241,7 @@ def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
     if method == "sum-rel":
         S, N = _E_form(lam)
         total = {}
-        for M in _orbit_numerators(lam, N):
+        for _, M in _orbit_numerators(lam, N):
             for e, p in M.items():
                 _acc(total, e, p)
         return MacdonaldResult(lam, hecke._join(n, S, total), "operator-chain")
@@ -495,7 +495,7 @@ def _check(name: str, got: LaurentPoly, want: LaurentPoly) -> CheckLine:
     """got == want, with their difference as the detail when they differ."""
     if got == want:
         return CheckLine(name, True)
-    return CheckLine(name, False, f"difference {(got - want).to_string()}")
+    return CheckLine(name, False, f"difference {(got - want)._readable()}")
 
 
 def verify_eigen(mu) -> list:
@@ -590,7 +590,8 @@ def verify_kz(lam) -> list:
     n = len(lam)
     orbit = fperm.weight_orbit(lam)
     # the letters run on each f_nu's numerators, so nothing is split again
-    forms = {nu: _f_form(nu)[:2] for nu in orbit}
+    S, N = _E_form(lam)
+    forms = {nu: (S, M) for nu, M in _orbit_numerators(lam, N)}
     fs = {nu: hecke._join(n, *forms[nu]) for nu in orbit}
     out = []
     for nu in orbit:

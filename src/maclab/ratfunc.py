@@ -625,7 +625,8 @@ class RatFunc:
             ds = dens[key] = render(self.den)
         return ds
 
-    def _poly_t_str(self, p, latex: bool) -> str:
+    def _poly_t_str(self, p, latex: bool, in_v: bool = False) -> str:
+        """p in q and t, or in q and v = t^(1/2) when in_v."""
         sep = " " if latex else "*"
 
         def power(name, e):
@@ -635,7 +636,7 @@ class RatFunc:
 
         parts = []
         for (eq, ev), c in poly_terms(p):
-            if ev % 2:
+            if ev % 2 and not in_v:
                 raise InvalidInputError(
                     "odd power of t^(1/2); cannot render in q, t"
                 )
@@ -643,7 +644,7 @@ class RatFunc:
             if eq:
                 factors.append(power("q", eq))
             if ev:
-                factors.append(power("t", ev // 2))
+                factors.append(power("v", ev) if in_v else power("t", ev // 2))
             if abs(c) != 1 or not factors:
                 factors.insert(0, str(abs(c)))
             mono = sep.join(factors)
@@ -657,12 +658,13 @@ class RatFunc:
         """Render in the variables q, t.  Requires even v-exponents."""
         return self._t_string(latex, {})
 
-    def _t_string(self, latex, dens):
-        """`to_t_string`, its denominator's text through `_den_text`."""
-        ns = self._poly_t_str(self.num, latex)
+    def _t_string(self, latex, dens, in_v=False):
+        """`to_t_string`, or in q and v when in_v, its denominator's text
+        through `_den_text`."""
+        ns = self._poly_t_str(self.num, latex, in_v)
         if not self._fac and self._c == 1:
             return ns
-        ds = self._den_text(dens, lambda p: self._poly_t_str(p, latex))
+        ds = self._den_text(dens, lambda p: self._poly_t_str(p, latex, in_v))
         if latex:
             return f"\\frac{{{ns}}}{{{ds}}}"
         return f"({ns})/({ds})"

@@ -143,7 +143,8 @@ def test_criterion_02_eigenvalues():
         for mu in compositions(n, 5):
             E = compute_E(mu).poly
             for i in range(1, n + 1):
-                assert hecke.apply_Y(i, E) == E.scale(eigenvalue(mu, i)), (
+                got = hecke.apply_operator_word([f"Y{i}"], E)
+                assert got == E.scale(eigenvalue(mu, i)), (
                     mu,
                     i,
                 )
@@ -165,7 +166,7 @@ def test_criterion_03_kz_family():
     # the six g-identities exactly (cycling form)
     fs = {nu: compute_f(nu).poly for nu in fperm.weight_orbit((2, 1, 0))}
     for mu in fs:
-        got = hecke.apply_g(fs[mu])
+        got = hecke.apply_operator_word(["g"], fs[mu])
         cyc = (mu[-1],) + mu[:-1]
         assert got == fs[cyc].scale(RatFunc.q_power(-mu[-1])), mu
     for n in (2, 3, 4):
@@ -379,7 +380,9 @@ def test_criterion_10_closed_forms():
             for comb in itertools.combinations(range(1, n + 1), r):
                 rest = [k for k in range(1, n + 1) if k not in comb]
                 zz = tuple(list(comb) + rest)
-                got = hecke.apply_tT_word(fperm.reduced_word(zz), E)
+                word = fperm.reduced_word(zz)
+                got = hecke.apply_operator_word([f"T{k}" for k in word], E)
+                got = got.scale(RatFunc.v_power(len(word)))
                 want = LaurentPoly.monomial(
                     tuple(1 if k + 1 in comb else 0 for k in range(n))
                 )
@@ -417,17 +420,10 @@ def test_criterion_10_closed_forms():
 
 def test_criterion_11_operator_algebra():
     from conftest import random_laurent
-    from maclab.hecke import (
-        apply_gvee,
-        apply_symmetrizer,
-        apply_T,
-        apply_T_inv,
-        apply_tT,
-        apply_X_omega,
-        apply_Y,
-        hecke_symmetrize_sum,
-        poincare_poly,
-    )
+    from maclab.hecke import apply_operator_word, apply_X_omega, poincare_poly
+
+    def op(tag, f):
+        return apply_operator_word([tag], f)
 
     rng = random.Random(103)
     V = RatFunc.v_power(1)
@@ -437,20 +433,21 @@ def test_criterion_11_operator_algebra():
         f = random_laurent(rng, 3)
         i = rng.choice((1, 2))
         # quadratic and braid
-        assert apply_T(i, apply_T(i, f)) == apply_T(i, f).scale(V - VINV) + f
-        assert apply_T(1, apply_T(2, apply_T(1, f))) == apply_T(2, apply_T(1, apply_T(2, f)))
+        Ti = f"T{i}"
+        assert op(Ti, op(Ti, f)) == op(Ti, f).scale(V - VINV) + f
+        assert op("T1", op("T2", op("T1", f))) == op("T2", op("T1", op("T2", f)))
         # commuting Cherednik operators
-        ys = {k: apply_Y(k, f) for k in (1, 2, 3)}
+        ys = {k: op(f"Y{k}", f) for k in (1, 2, 3)}
         for a in (1, 2, 3):
             for b in range(a + 1, 4):
-                assert apply_Y(a, ys[b]) == apply_Y(b, ys[a])
+                assert op(f"Y{a}", ys[b]) == op(f"Y{b}", ys[a])
         # symmetrizer: T_i 1_0 = t^(1/2) 1_0; the square law S S = W0(t) S
         # holds for the plain sum S, and 1_0 = t^(-l(w0)/2) S picks up that scalar
-        g = apply_symmetrizer(f)
-        assert apply_T(i, g) == g.scale(V)
-        sf = hecke_symmetrize_sum(f)
-        assert hecke_symmetrize_sum(sf) == sf.scale(w0)
-        assert apply_symmetrizer(g) == g.scale(RatFunc.v_power(-3) * w0)
+        g = op("1_0", f)
+        assert op(Ti, g) == g.scale(V)
+        sf = g.scale(RatFunc.v_power(3))  # S f, l(w0) = 3
+        assert op("1_0", sf).scale(RatFunc.v_power(3)) == sf.scale(w0)
+        assert op("1_0", g) == g.scale(RatFunc.v_power(-3) * w0)
     for n in (2, 3, 4):
         for r in range(1, n + 1):
             want = LaurentPoly.monomial((1,) * r + (0,) * (n - r))
@@ -458,9 +455,9 @@ def test_criterion_11_operator_algebra():
     for _ in range(20):
         f = random_laurent(rng, 2)
         y1, y2 = LaurentPoly.x(1, 2), LaurentPoly.x(2, 2)
-        assert apply_gvee(apply_T_inv(1, f)) == y1 * f
-        assert apply_T(1, apply_gvee(f)) == y2 * f
-        assert apply_gvee(apply_gvee(f)) == y1 * y2 * f
+        assert op("gvee", op("T1^-1", f)) == y1 * f
+        assert op("T1", op("gvee", f)) == y2 * f
+        assert op("gvee", op("gvee", f)) == y1 * y2 * f
     report(11, "operator relations on 20 random polynomials each")
 
 

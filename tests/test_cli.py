@@ -417,6 +417,22 @@ class TestExitCodes:
         assert rc == 2
         assert err.strip() != ""
 
+    def test_failed_check_with_odd_v_exits_one(self, capsys, monkeypatch):
+        # at even n every Y_i eigenvalue carries an odd power of t^(1/2):
+        # a wrong one is a failed check, its difference shown in q and v
+        from maclab import macdonald
+        from maclab.ratfunc import RatFunc
+
+        real = macdonald.eigenvalue
+        monkeypatch.setattr(
+            macdonald, "eigenvalue", lambda mu, i: real(mu, i) * RatFunc.q_power(1)
+        )
+        rc, out, err = run(capsys, "verify", "--suite", "eigen", "--n", "2")
+        assert rc == 1
+        assert "FAIL Y_2 E_(0, 0): difference (-q + 1)/(v)\n" in err
+        assert err.count("FAIL ") == 20
+        assert out.strip() == "0/20 checks passed"
+
     def test_verify_failure_exits_one(self, capsys, monkeypatch):
         from maclab import cli
 

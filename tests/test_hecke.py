@@ -14,21 +14,10 @@ from maclab.errors import InvalidInputError, InvariantViolation
 from maclab.hecke import (
     _join,
     _split,
-    apply_g,
-    apply_g_inv,
-    apply_gvee,
     apply_operator_word,
-    apply_symmetrizer,
-    apply_T,
-    apply_T_inv,
     apply_T_reference,
-    apply_tT,
-    apply_tT_word,
     apply_X_omega,
-    apply_Y,
-    apply_Y_inv,
     divided_difference_part,
-    hecke_symmetrize_sum,
     lp_divexact_xdiff,
     poincare_poly,
     poincare_stabilizer,
@@ -41,47 +30,51 @@ V = RatFunc.v_power(1)
 VINV = RatFunc.v_power(-1)
 
 
+def op(tag, f):
+    return apply_operator_word([tag], f)
+
+
 class TestDemazureLusztig:
     def test_action_on_variables(self):
         # the closed action of t^(1/2) T_r on the variables
-        assert apply_tT(1, x1) == x2
-        assert apply_tT(1, x2) == x1.scale(T) + x2.scale(T - RF_ONE)
-        assert apply_tT(1, x3) == x3.scale(T)
+        assert op("T1", x1).scale(V) == x2
+        assert op("T1", x2).scale(V) == x1.scale(T) + x2.scale(T - RF_ONE)
+        assert op("T1", x3).scale(V) == x3.scale(T)
 
     def test_symmetric_polynomial_eigenvector(self):
         f = x1 * x2 + x2 * x1 + (x1 + x2) * x3
-        assert apply_T(1, f) == f.scale(V)
+        assert op("T1", f) == f.scale(V)
 
     def test_inverse_law(self):
         rng = random.Random(31)
         for _ in range(10):
             f = random_laurent(rng, 3)
-            assert apply_T_inv(1, apply_T(1, f)) == f
-            assert apply_T(2, apply_T_inv(2, f)) == f
+            assert op("T1^-1", op("T1", f)) == f
+            assert op("T2", op("T2^-1", f)) == f
 
     def test_quadratic_relation(self):
         rng = random.Random(37)
         for _ in range(20):
             f = random_laurent(rng, 3)
             i = rng.choice((1, 2))
-            lhs = apply_T(i, apply_T(i, f))
-            assert lhs == apply_T(i, f).scale(V - VINV) + f
+            lhs = op(f"T{i}", op(f"T{i}", f))
+            assert lhs == op(f"T{i}", f).scale(V - VINV) + f
 
     def test_braid_relations(self):
         rng = random.Random(41)
         for _ in range(20):
             f = random_laurent(rng, 4)
-            assert apply_T(1, apply_T(2, apply_T(1, f))) == apply_T(
-                2, apply_T(1, apply_T(2, f))
+            assert op("T1", op("T2", op("T1", f))) == op(
+                "T2", op("T1", op("T2", f))
             )
-            assert apply_T(1, apply_T(3, f)) == apply_T(3, apply_T(1, f))
+            assert op("T1", op("T3", f)) == op("T3", op("T1", f))
 
     def test_fast_path_matches_divided_difference(self):
         rng = random.Random(43)
         for _ in range(10):
             f = random_laurent(rng, 3)
             i = rng.choice((1, 2))
-            assert apply_T(i, f) == apply_T_reference(i, f)
+            assert op(f"T{i}", f) == apply_T_reference(i, f)
 
     def test_exact_division_guard(self):
         with pytest.raises(InvariantViolation):
@@ -107,8 +100,8 @@ class TestDemazureLusztig:
             e = tuple(rng.randint(-3, 3) for _ in range(3))
             f = LaurentPoly.monomial(e)
             i = rng.choice((1, 2))
-            assert apply_T(i, f) == apply_T_reference(i, f)
-            assert apply_T_inv(i, apply_T(i, f)) == f
+            assert op(f"T{i}", f) == apply_T_reference(i, f)
+            assert op(f"T{i}^-1", op(f"T{i}", f)) == f
 
 
 class TestProperties:
@@ -118,21 +111,21 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(laurent_polys(3), st.sampled_from((1, 2)))
     def test_fast_path_matches_divided_difference(self, f, i):
-        assert apply_T(i, f) == apply_T_reference(i, f)
+        assert op(f"T{i}", f) == apply_T_reference(i, f)
 
     @settings(max_examples=40, deadline=None)
     @given(laurent_polys(3), st.sampled_from((1, 2)))
     def test_quadratic_relation(self, f, i):
-        assert apply_T(i, apply_T(i, f)) == apply_T(i, f).scale(V - VINV) + f
+        assert op(f"T{i}", op(f"T{i}", f)) == op(f"T{i}", f).scale(V - VINV) + f
 
     @settings(max_examples=25, deadline=None)
     @given(laurent_polys(4))
     def test_braid_relations(self, f):
         for i, j in ((1, 2), (2, 3)):
-            assert apply_T(i, apply_T(j, apply_T(i, f))) == apply_T(
-                j, apply_T(i, apply_T(j, f))
+            assert op(f"T{i}", op(f"T{j}", op(f"T{i}", f))) == op(
+                f"T{j}", op(f"T{i}", op(f"T{j}", f))
             )
-        assert apply_T(1, apply_T(3, f)) == apply_T(3, apply_T(1, f))
+        assert op("T1", op("T3", f)) == op("T3", op("T1", f))
 
 
 def reference_word(word, f):
@@ -157,7 +150,8 @@ class TestSharedDenominator:
     @given(laurent_polys(3), st.lists(st.sampled_from((1, 2)), max_size=4))
     def test_word_matches_divided_difference(self, f, word):
         want = reference_word(word, f).scale(RatFunc.v_power(len(word)))
-        assert apply_tT_word(word, f) == want
+        got = apply_operator_word([f"T{i}" for i in word], f)
+        assert got.scale(RatFunc.v_power(len(word))) == want
 
     @settings(max_examples=25, deadline=None)
     @given(laurent_polys(3))
@@ -168,47 +162,48 @@ class TestSharedDenominator:
             want = want + reference_word(word, f).scale(
                 RatFunc.v_power(len(word))
             )
-        assert hecke_symmetrize_sum(f) == want
+        # the sum is t^(l(w0)/2) 1_0, l(w0) = 3
+        assert op("1_0", f).scale(RatFunc.v_power(3)) == want
 
     @settings(max_examples=25, deadline=None)
     @given(laurent_polys(3), st.sampled_from((1, 2)))
     def test_inverse_matches_divided_difference(self, f, i):
         want = apply_T_reference(i, f) - f.scale(V - VINV)
-        assert apply_T_inv(i, f) == want
+        assert op(f"T{i}^-1", f) == want
 
 
 class TestGOperators:
     def test_g_on_monomials(self):
-        assert apply_g(x1 * x1 * x2) == x2 * x2 * x3
-        assert apply_g(x1 * x2 * x3) == (x1 * x2 * x3).scale(RatFunc.q_power(-1))
+        assert op("g", x1 * x1 * x2) == x2 * x2 * x3
+        assert op("g", x1 * x2 * x3) == (x1 * x2 * x3).scale(RatFunc.q_power(-1))
 
     def test_g_inverse(self):
         rng = random.Random(47)
         for _ in range(10):
             f = random_laurent(rng, 3)
-            assert apply_g_inv(apply_g(f)) == f
+            assert op("g^-1", op("g", f)) == f
 
     def test_gvee_of_one(self):
-        assert apply_gvee(LaurentPoly.one(3)) == x1.scale(T)
+        assert op("gvee", LaurentPoly.one(3)) == x1.scale(T)
 
     @settings(max_examples=40, deadline=None)
     @given(laurent_polys(3))
     def test_g_matches_substitution(self, f):
         # the numerator letters against x_3 -> q^-1 x_3, x_i -> x_(i+1 mod 3)
         for h in (f, LaurentPoly.zero(3)):
-            assert apply_g(h) == h.shift_qn().subst_perm((2, 3, 1))
-            assert apply_g(apply_g_inv(h)) == h
+            assert op("g", h) == h.shift_qn().subst_perm((2, 3, 1))
+            assert op("g", op("g^-1", h)) == h
 
 
 class TestCherednik:
     def test_Y1_small(self):
-        y = apply_Y(1, LaurentPoly.x(1, 2))
+        y = op("Y1", LaurentPoly.x(1, 2))
         assert y == LaurentPoly.x(1, 2).scale(RatFunc.q_power(-1) * VINV)
 
     def test_Y_on_constants(self):
         for n in (2, 3, 4):
             for i in range(1, n + 1):
-                got = apply_Y(i, LaurentPoly.one(n))
+                got = op(f"Y{i}", LaurentPoly.one(n))
                 want = LaurentPoly.one(n).scale(
                     RatFunc.v_power(n - 1 - 2 * (i - 1))
                 )
@@ -219,8 +214,8 @@ class TestCherednik:
         for n in (2, 3, 4):
             f = random_laurent(rng, n, deg=3, terms=3)
             for i in range(1, n + 1):
-                assert apply_Y_inv(i, apply_Y(i, f)) == f
-                assert apply_Y(i, apply_Y_inv(i, f)) == f
+                assert op(f"Y{i}^-1", op(f"Y{i}", f)) == f
+                assert op(f"Y{i}", op(f"Y{i}^-1", f)) == f
 
     def test_Y_commute_all_monomials(self):
         # the stated invariant: all monomials of degree <= 4, n <= 4
@@ -230,61 +225,72 @@ class TestCherednik:
                     if sum(e) != deg:
                         continue
                     m = LaurentPoly.monomial(e)
-                    ys = {i: apply_Y(i, m) for i in range(1, n + 1)}
+                    ys = {i: op(f"Y{i}", m) for i in range(1, n + 1)}
                     for i in range(1, n + 1):
                         for j in range(i + 1, n + 1):
-                            assert apply_Y(i, ys[j]) == apply_Y(j, ys[i])
+                            assert op(f"Y{i}", ys[j]) == op(f"Y{j}", ys[i])
 
 
 class TestOperatorWords:
     def test_known_composite(self):
-        # Y_1 = g T_{n-1} ... T_1 as a word
-        from maclab.hecke import apply_operator_word
-
+        # Y_1 = g T_{n-1} ... T_1 and Y_2 = T_1^-1 Y_1 T_1^-1 as words
         rng = random.Random(97)
         for _ in range(5):
             f = random_laurent(rng, 3)
-            assert apply_operator_word(["g", "T2", "T1"], f) == apply_Y(1, f)
-            assert apply_operator_word(["1_0", "T1"], f) == apply_symmetrizer(
-                apply_T(1, f)
-            )
+            assert apply_operator_word(["g", "T2", "T1"], f) == op("Y1", f)
+            assert apply_operator_word(["T1^-1", "Y1", "T1^-1"], f) == op("Y2", f)
 
     def test_index_validation(self):
-        from maclab.errors import InvalidInputError
-        from maclab.hecke import apply_operator_word
-
         with pytest.raises(InvalidInputError):
             apply_operator_word(["T3"], LaurentPoly.one(3))
         with pytest.raises(InvalidInputError):
             apply_operator_word(["Y4"], LaurentPoly.one(3))
         with pytest.raises(InvalidInputError):
+            apply_operator_word(["Y2^-1", "Y0"], LaurentPoly.one(3))
+        with pytest.raises(InvalidInputError):
             apply_operator_word(["Z1"], LaurentPoly.one(3))
 
+    def test_bad_tags_rejected(self):
+        # only T<i>, T<i>^-1, Y<i>, Y<i>^-1, g, g^-1, gvee and 1_0
+        for tag in (1, "Y1^-1x", "T 1", "T+1", "t1", "G", "gvee^-1", "T1^-2"):
+            with pytest.raises(InvalidInputError):
+                apply_operator_word([tag], x1 + x2 * x3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_inverse_tags(self, n):
+        f = random_laurent(random.Random(103 + n), n, deg=2, terms=3)
+        tags = [f"T{i}" for i in range(1, n)] + [f"Y{i}" for i in range(1, n + 1)]
+        for tag in tags + ["g"]:
+            assert apply_operator_word([tag + "^-1", tag], f) == f, tag
+            assert apply_operator_word([tag, tag + "^-1"], f) == f, tag
+
     def test_tags_match_single_calls(self):
+        # one split and one join against one call per tag
         rng = random.Random(101)
         for _ in range(3):
             f = random_laurent(rng, 3)
-            assert apply_operator_word(["Y2"], f) == apply_Y(2, f)
             assert apply_operator_word([], f) == f
-            got = apply_operator_word(["gvee", "g^-1", "1_0", "T2^-1"], f)
-            want = apply_gvee(apply_g_inv(apply_symmetrizer(apply_T_inv(2, f))))
-            assert got == want
+            word = ["gvee", "g^-1", "1_0", "T2^-1", "Y3^-1", "Y2", "g"]
+            want = f
+            for tag in reversed(word):
+                want = op(tag, want)
+            assert apply_operator_word(word, f) == want
 
 
 class TestOneExecutor:
     """Every operator runs its letters between one split and one join."""
 
     @pytest.mark.parametrize(
-        "op, args",
+        "run, args",
         [
-            (apply_Y, (3,)),
-            (apply_Y_inv, (3,)),
+            (apply_operator_word, (["Y3"],)),
+            (apply_operator_word, (["Y3^-1"],)),
             (apply_X_omega, (2,)),
             (apply_operator_word, (["Y2", "T1^-1", "g"],)),
         ],
         ids=["Y3", "Y3_inv", "X_omega2", "word"],
     )
-    def test_one_split_one_join(self, monkeypatch, op, args):
+    def test_one_split_one_join(self, monkeypatch, run, args):
         calls = {"_split": 0, "_join": 0}
         for name in calls:
             def counted(*a, _name=name, _fn=getattr(hecke, name)):
@@ -292,7 +298,7 @@ class TestOneExecutor:
                 return _fn(*a)
 
             monkeypatch.setattr(hecke, name, counted)
-        op(*args, random_laurent(random.Random(59), 4))
+        run(*args, random_laurent(random.Random(59), 4))
         assert calls == {"_split": 1, "_join": 1}
 
 
@@ -311,9 +317,9 @@ class TestSymmetrizer:
         rng = random.Random(59)
         for _ in range(5):
             f = random_laurent(rng, 3)
-            g = apply_symmetrizer(f)
+            g = op("1_0", f)
             for i in (1, 2):
-                assert apply_T(i, g) == g.scale(V)
+                assert op(f"T{i}", g) == g.scale(V)
 
     def test_sum_operator_squares_to_W0_times_itself(self):
         # the square law for the sum S = sum_z t^(l(z)/2) T_z: S S f = W0(t) S f
@@ -321,8 +327,8 @@ class TestSymmetrizer:
         w0 = poincare_poly(3)
         for _ in range(5):
             f = random_laurent(rng, 3)
-            sf = hecke_symmetrize_sum(f)
-            assert hecke_symmetrize_sum(sf) == sf.scale(w0)
+            sf = op("1_0", f).scale(RatFunc.v_power(3))  # l(w0) = 3
+            assert op("1_0", sf).scale(RatFunc.v_power(3)) == sf.scale(w0)
 
     def test_normalized_idempotent_scalar(self):
         # for 1_0 = t^(-l(w0)/2) S the square picks up exactly that scalar:
@@ -331,8 +337,8 @@ class TestSymmetrizer:
         w0 = poincare_poly(3)
         for _ in range(3):
             f = random_laurent(rng, 3)
-            g = apply_symmetrizer(f)
-            assert apply_symmetrizer(g) == g.scale(RatFunc.v_power(-3) * w0)
+            g = op("1_0", f)
+            assert op("1_0", g) == g.scale(RatFunc.v_power(-3) * w0)
 
 
 class TestXOmega:
@@ -348,15 +354,13 @@ class TestXOmega:
             xs = LaurentPoly.one(n)
             for r in range(1, n + 1):
                 xs = xs * LaurentPoly.x(r, n)
+                # the other reduced word of w_r, in ascending runs
+                runs = [j for k in range(n - r, 0, -1) for j in range(k, k + r)]
+                word_b = ["gvee"] * r + [f"T{j}^-1" for j in runs]
                 for _ in range(3):
                     f = random_laurent(rng, n)
-                    assert apply_X_omega(r, f, "A") == xs * f
-                    assert apply_X_omega(r, f, "B") == xs * f
-
-    @pytest.mark.parametrize("word_form", ["Z", "a", ""])
-    def test_unknown_word_form_rejected(self, word_form):
-        with pytest.raises(InvalidInputError):
-            apply_X_omega(2, x1 + x3, word_form)
+                    assert apply_X_omega(r, f) == xs * f
+                    assert apply_operator_word(word_b, f) == xs * f
 
     def test_top_case_is_gvee_power(self):
         rng = random.Random(73)
@@ -365,7 +369,7 @@ class TestXOmega:
             f = random_laurent(rng, n)
             got = f
             for _ in range(n):
-                got = apply_gvee(got)
+                got = op("gvee", got)
             assert apply_X_omega(n, f) == got
 
     def test_gl2_relations(self):
@@ -373,14 +377,14 @@ class TestXOmega:
         y1, y2 = LaurentPoly.x(1, 2), LaurentPoly.x(2, 2)
         for _ in range(20):
             f = random_laurent(rng, 2)
-            assert apply_gvee(apply_T_inv(1, f)) == y1 * f  # X_1
-            assert apply_T(1, apply_gvee(f)) == y2 * f  # X_2 = T_1 g_vee
-            assert apply_gvee(apply_gvee(f)) == y1 * y2 * f  # X_1 X_2
+            assert op("gvee", op("T1^-1", f)) == y1 * f  # X_1
+            assert op("T1", op("gvee", f)) == y2 * f  # X_2 = T_1 g_vee
+            assert op("gvee", op("gvee", f)) == y1 * y2 * f  # X_1 X_2
             # X_1^(k+1) T_1 = (g_vee T_1^-1)^k g_vee for k = 2
-            lhs = apply_T(1, f)
+            lhs = op("T1", f)
             for _ in range(3):
-                lhs = apply_gvee(apply_T_inv(1, lhs))
-            rhs = apply_gvee(f)
+                lhs = op("gvee", op("T1^-1", lhs))
+            rhs = op("gvee", f)
             for _ in range(2):
-                rhs = apply_gvee(apply_T_inv(1, rhs))
+                rhs = op("gvee", op("T1^-1", rhs))
             assert lhs == rhs

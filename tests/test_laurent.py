@@ -240,6 +240,17 @@ class TestPresentation:
             " + ((1)/(q^2*t^2 - 2*q*t + 1))*x1^9"
         )
 
+    def test_repr_renders_odd_powers_of_v(self):
+        # F_(0,1) has odd powers of t^(1/2): repr shows it in q and v, and
+        # the q, t renderings still refuse it
+        f = compute_F((0, 1)).poly
+        c = "((q*v^4 - 1)/(q*v^3 - v))"
+        assert repr(f) == f"LaurentPoly(2, '{c}*x2 + {c}*x1')"
+        for latex in (False, True):
+            with pytest.raises(InvalidInputError):
+                f.to_string(latex)
+        assert repr(x1 + x2.scale(T)) == "LaurentPoly(3, 't*x2 + x1')"
+
     def test_import_loads_no_json(self):
         # documents are built as text; json loads only where one is parsed
         env = dict(os.environ)

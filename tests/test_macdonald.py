@@ -286,7 +286,7 @@ class TestEigen:
         }
         for i, lam in vals.items():
             assert eigenvalue((2, 1, 0), i) == lam
-            assert hecke.apply_Y(i, E) == E.scale(lam)
+            assert hecke.apply_operator_word([f"Y{i}"], E) == E.scale(lam)
 
     def test_explicit_eigenvalues_120(self):
         vals = {
@@ -387,7 +387,7 @@ class TestKZ:
             (0, 1, 2): (2, (2, 0, 1)),
         }
         for mu, (power, target) in cases.items():
-            got = hecke.apply_g(fs[mu])
+            got = hecke.apply_operator_word(["g"], fs[mu])
             assert got == fs[target].scale(RatFunc.q_power(-power)), mu
 
     def test_kz_partitions_up_to_3_boxes(self):

@@ -62,3 +62,16 @@ def test_verify_haction_alone_keeps_its_checks():
         want = macdonald._verify_haction(mu, i, joined)
         got = macdonald.verify_haction(mu, i)
         assert [(c.name, c.ok) for c in got] == [(c.name, c.ok) for c in want]
+
+
+def test_kz_suite_walks_each_orbit_once(monkeypatch):
+    # n = 4: the forms come from one walk per orbit, one letter t^(1/2) T_i
+    # per weight, beside the letters the checks run and the E walks;
+    # running the reduced word of z_nu from E_lambda for every nu made 370
+    calls = []
+    tT = hecke._tT
+    monkeypatch.setattr(hecke, "_tT", lambda i, N: calls.append(i) or tT(i, N))
+    macdonald._E_box.cache_clear()
+    lines = verify.suite_kz(4)
+    assert len(lines) == 280 and all(line.ok for line in lines)
+    assert len(calls) == 284
