@@ -15,10 +15,12 @@ An operator call writes f = S * sum N_e x^e over one shared denominator
 operator is a list of letters, and one executor (`_run`) applies them
 to the N_e: t^(1/2) T_i needs only polynomial adds and a shift by v^2,
 and g^(+-1) rotates the exponents and shifts by powers of q.  The
-leftover powers of q and v are folded into S once, and one `_join`
-rebuilds canonical coefficients.  `apply_operator_word` is the one
-public way to apply an operator, and `macdonald` runs its letters on the
-cached numerator form of E_mu without a split.
+leftover powers of q and v are folded into S once, and `_run` returns
+the form (S, N); `_join` rebuilds canonical coefficients from it.
+`apply_operator_word` is the one public way to apply an operator.
+`macdonald` runs its letters on the cached form of E_mu without a
+split; it joins the results it returns, and a verify check compares
+forms and joins only to print a failure.
 """
 
 from __future__ import annotations
@@ -124,8 +126,9 @@ def _g(N, inverse: bool):
     return {e: p.mul_monom((a - k, 0)) if a != k else p for e, a, p in moved}, k
 
 
-def _run(n: int, S: RatFunc, N, letters) -> LaurentPoly:
-    """The letters, first to last, on f = S * sum N_e x^e, joined once.
+def _run(n: int, S: RatFunc, N, letters):
+    """The letters, first to last, on f = S * sum N_e x^e, as the form
+    (S', N') of the result: nothing is joined.
 
     A letter is (name, i), and only the T letters read i: 'tT' is
     t^(1/2) T_i, 'T' and 'T^-1' are T_i and T_i^(-1), 'g', 'g^-1' and
@@ -158,12 +161,12 @@ def _run(n: int, S: RatFunc, N, letters) -> LaurentPoly:
             raise InvariantViolation(f"unknown operator letter {name!r}")
     if qk or vk:
         S = S * RatFunc.q_power(qk) * RatFunc.v_power(vk)
-    return _join(n, S, N)
+    return S, N
 
 
 def _apply(f: LaurentPoly, letters) -> LaurentPoly:
     """The letters (see `_run`) on f: one split, one join."""
-    return _run(f.n, *_split(f), letters)
+    return _join(f.n, *_run(f.n, *_split(f), letters))
 
 
 def divided_difference_part(i: int, f: LaurentPoly) -> LaurentPoly:

@@ -11,6 +11,8 @@ True
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import InvalidInputError
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 
@@ -18,8 +20,11 @@ Weight = tuple  # vector of n integers
 
 
 def check_weight(mu, n=None, nonneg=False):
-    """Validate a weight vector and return it as a tuple."""
-    mu = tuple(int(x) for x in mu)
+    """Validate a weight vector of integers and return it as a tuple."""
+    try:
+        mu = tuple(map(index, mu))
+    except TypeError:
+        raise InvalidInputError(f"weight {mu!r} is not a vector of integers") from None
     if n is not None and len(mu) != n:
         raise InvalidInputError(f"weight {mu} does not have length {n}")
     if nonneg and any(x < 0 for x in mu):

@@ -17,8 +17,8 @@ weight the walk passes, at each box boundary (`_E_box`, built from the
 bottom up by `_E_form`).  That step's cache is the only memo of E:
 `compute_E` joins the form on every call.
 
-Everything else is a Hecke-operator twist of some E, run on N with one
-join at the end and its scalar folded into S: E_mu^z and f_mu apply a
+Everything else is a Hecke-operator twist of some E, run on N with its
+scalar folded into S and joined once at the end: E_mu^z and f_mu apply a
 reduced word, F_mu and P_lambda by `symmetrize` the coset recursion of
 the symmetrizer, and P_lambda by `sum-rel` walks the orbit of lambda by
 f_(s_i nu) = t^(1/2) T_i f_nu (nu_i > nu_(i+1)), one letter per weight.
@@ -35,7 +35,7 @@ from . import permutations as fperm
 from .affine import _first_box_block
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, _acc, check_weight
-from .ratfunc import RF_ONE, RF_T, RING, RatFunc, _cancel_common, one_minus
+from .ratfunc import RF_ONE, RF_T, RING, RatFunc, _cancel_common, _lift, one_minus
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,8 @@ def compute_E_rel(mu, z) -> MacdonaldResult:
     shift = len(word) + fperm.length(fperm.compose(z, vinv)) - fperm.length(vinv)
     S, N = _E_form(mu)
     letters = [("tT", i) for i in reversed(word)]
-    f = hecke._run(len(mu), S * RatFunc.v_power(-shift), N, letters)
-    return MacdonaldResult(mu, f, "operator-chain", z)
+    form = hecke._run(len(mu), S * RatFunc.v_power(-shift), N, letters)
+    return MacdonaldResult(mu, hecke._join(len(mu), *form), "operator-chain", z)
 
 
 def _f_form(mu):
@@ -248,8 +248,8 @@ def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
     if method == "symmetrize":
         S, N = _E_form(lam)
         w_lam = hecke.poincare_stabilizer(lam)
-        f = hecke._run(n, S / w_lam, N, [("sum", None)])
-        return MacdonaldResult(lam, f, "symmetrization")
+        form = hecke._run(n, S / w_lam, N, [("sum", None)])
+        return MacdonaldResult(lam, hecke._join(n, *form), "symmetrization")
     if method == "cst":
         from .diagrams import cst_expand  # diagrams imports this module
         return cst_expand(lam, n)
@@ -259,8 +259,9 @@ def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
 def compute_F(mu) -> MacdonaldResult:
     """F_mu = 1_0 E_mu (coefficients may carry odd powers of t^(1/2))."""
     mu = check_weight(mu, nonneg=True)
-    f = hecke._run(len(mu), *_E_form(mu), [("1_0", None)])
-    return MacdonaldResult(mu, f, "symmetrization")
+    n = len(mu)
+    form = hecke._run(n, *_E_form(mu), [("1_0", None)])
+    return MacdonaldResult(mu, hecke._join(n, *form), "symmetrization")
 
 
 def symmetrization_constant(mu) -> RatFunc:
@@ -491,24 +492,32 @@ class CheckLine:
     detail: str = ""
 
 
-def _check(name: str, got: LaurentPoly, want: LaurentPoly) -> CheckLine:
-    """got == want, with their difference as the detail when they differ."""
-    if got == want:
+def _check(name: str, n: int, sides) -> CheckLine:
+    """The sum over the sides (c, (S, N)) of c * S * sum N_e x^e is zero.
+
+    The scalars c * S go over one denominator, so the check adds integer
+    numerators; only a failure joins the sum, to print it as the detail.
+    """
+    S, lifts = _lift([c * s for c, (s, _) in sides])
+    total = {}
+    for lift, (_, (_, N)) in zip(lifts, sides):
+        for e, p in N.items():
+            _acc(total, e, lift * p)
+    if not total:
         return CheckLine(name, True)
-    return CheckLine(name, False, f"difference {(got - want)._readable()}")
+    diff = hecke._join(n, S, total)
+    return CheckLine(name, False, f"difference {diff._readable()}")
 
 
 def verify_eigen(mu) -> list:
     """Check Y_i E_mu = eigenvalue * E_mu for every i."""
     mu = check_weight(mu, nonneg=True)
     n = len(mu)
-    S, N = _E_form(mu)
-    E = hecke._join(n, S, N)
+    E = _E_form(mu)
     out = []
     for i in range(1, n + 1):
-        got = hecke._run(n, S, N, hecke._Y_letters(i, n))
-        want = E.scale(eigenvalue(mu, i))
-        out.append(_check(f"Y_{i} E_{mu}", got, want))
+        Y = hecke._run(n, *E, hecke._Y_letters(i, n))
+        out.append(_check(f"Y_{i} E_{mu}", n, [(RF_ONE, Y), (-eigenvalue(mu, i), E)]))
     return out
 
 
@@ -523,13 +532,6 @@ def verify_haction(mu, i: int) -> list:
       Y_i^-1 Y_{i+1} E = t^-1 E,  t^(1/2) tau_i E = 0,  t^(1/2) T_i E = t E.
     An ascent mu_i < mu_{i+1} is checked at s_i mu.
     """
-    return _verify_haction(mu, i, {})
-
-
-def _verify_haction(mu, i, joined):
-    """`verify_haction`, taking E_nu from joined (nu -> joined E_nu),
-    which it fills: a caller checking many (mu, i) keeps one dict for its
-    run, so each E is joined once."""
     mu = check_weight(mu, nonneg=True)
     if not 1 <= i <= len(mu) - 1:
         raise InvalidInputError(f"index {i} out of range")
@@ -537,44 +539,31 @@ def _verify_haction(mu, i, joined):
         # swap roles so that mu_i > mu_{i+1}
         mu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
     n = len(mu)
-    form = _E_form(mu)
-    E = _joined(mu, form, joined)
+    E = _E_form(mu)
     ed = eigen_data(mu, i)
-    out = []
-    # Y_(i+1), then Y_i^-1, on the cached form: one join
+    # Y_(i+1), then Y_i^-1, on the cached form
     letters = hecke._Y_letters(i + 1, n) + hecke._Y_letters(i, n, inverse=True)
-    yy = hecke._run(n, *form, letters)
-    want = E.scale(ed.a_mu)
-    out.append(_check(f"Y_{i}^-1 Y_{i + 1} E_{mu}", yy, want))
-    tTE = hecke._run(n, *form, [("tT", i)])
+    yy = hecke._run(n, *E, letters)
+    out = [_check(f"Y_{i}^-1 Y_{i + 1} E_{mu}", n, [(RF_ONE, yy), (-ed.a_mu, E)])]
+    tTE = hecke._run(n, *E, [("tT", i)])
+    # t^(1/2) tau_i = t^(1/2) T_i + (1-t)/(1-a_mu)
+    tau = [(RF_ONE, tTE), (one_minus(RF_T) / one_minus(ed.a_mu), E)]
     if mu[i - 1] == mu[i]:
-        tau = tTE + E.scale(one_minus(RF_T) / one_minus(ed.a_mu))
-        out.append(CheckLine(f"t^1/2 tau_{i} E_{mu} = 0", tau.is_zero()))
-        want = E.scale(RF_T)
-        out.append(_check(f"t^1/2 T_{i} E_{mu} = t E", tTE, want))
+        out.append(_check(f"t^1/2 tau_{i} E_{mu} = 0", n, tau))
+        out.append(_check(f"t^1/2 T_{i} E_{mu} = t E", n, [(RF_ONE, tTE), (-RF_T, E)]))
         return out
     smu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
-    sform = _E_form(smu)
-    Es = _joined(smu, sform, joined)
-    want = E.scale(-(one_minus(RF_T) / one_minus(ed.a_mu))) + Es
-    out.append(_check(f"t^1/2 T_{i} E_{mu}", tTE, want))
-    tTEs = hecke._run(n, *sform, [("tT", i)])
-    want = E.scale(ed.d_mu) - Es.scale(one_minus(RF_T) / one_minus(ed.a_simu))
-    out.append(_check(f"t^1/2 T_{i} E_{smu}", tTEs, want))
-    tau = tTE + E.scale(one_minus(RF_T) / one_minus(ed.a_mu))
-    out.append(_check(f"t^1/2 tau_{i} E_{mu} = E_{smu}", tau, Es))
-    taus = tTEs + Es.scale(one_minus(RF_T) / one_minus(ed.a_simu))
-    want = E.scale(ed.d_mu)
-    out.append(_check(f"t^1/2 tau_{i} E_{smu} = D E_{mu}", taus, want))
+    Es = _E_form(smu)
+    taus = [
+        (RF_ONE, hecke._run(n, *Es, [("tT", i)])),
+        (one_minus(RF_T) / one_minus(ed.a_simu), Es),
+    ]
+    D = (-ed.d_mu, E)
+    out.append(_check(f"t^1/2 T_{i} E_{mu}", n, tau + [(-RF_ONE, Es)]))
+    out.append(_check(f"t^1/2 T_{i} E_{smu}", n, taus + [D]))
+    out.append(_check(f"t^1/2 tau_{i} E_{mu} = E_{smu}", n, tau + [(-RF_ONE, Es)]))
+    out.append(_check(f"t^1/2 tau_{i} E_{smu} = D E_{mu}", n, taus + [D]))
     return out
-
-
-def _joined(mu, form, joined):
-    """E_mu from joined, else joined from its form and kept there."""
-    E = joined.get(mu)
-    if E is None:
-        E = joined[mu] = hecke._join(len(mu), *form)
-    return E
 
 
 def verify_kz(lam) -> list:
@@ -588,28 +577,27 @@ def verify_kz(lam) -> list:
     if list(lam) != sorted(lam, reverse=True):
         raise InvalidInputError(f"{lam} is not weakly decreasing")
     n = len(lam)
-    orbit = fperm.weight_orbit(lam)
-    # the letters run on each f_nu's numerators, so nothing is split again
+    # every f_nu lies over E_lam's S; the letters run on its numerators
     S, N = _E_form(lam)
-    forms = {nu: (S, M) for nu, M in _orbit_numerators(lam, N)}
-    fs = {nu: hecke._join(n, *forms[nu]) for nu in orbit}
+    fs = {nu: (S, M) for nu, M in _orbit_numerators(lam, N)}
     out = []
-    for nu in orbit:
+    for nu in fperm.weight_orbit(lam):
+        f = fs[nu]
         for i in range(1, n):
-            got = hecke._run(n, *forms[nu], [("tT", i)])
+            got = (RF_ONE, hecke._run(n, *f, [("tT", i)]))
             snu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
             if nu[i - 1] > nu[i]:
-                want = fs[snu]
+                sides = [got, (-RF_ONE, fs[snu])]
                 name = f"t^1/2 T_{i} f_{nu} = f_{snu}"
             elif nu[i - 1] == nu[i]:
-                want = fs[nu].scale(RF_T)
+                sides = [got, (-RF_T, f)]
                 name = f"t^1/2 T_{i} f_{nu} = t f_{nu}"
             else:
-                want = fs[snu].scale(RF_T) + fs[nu].scale(RF_T - RF_ONE)
+                sides = [got, (-RF_T, fs[snu]), (RF_ONE - RF_T, f)]
                 name = f"t^1/2 T_{i} f_{nu} (ascent case)"
-            out.append(_check(name, got, want))
-        got = hecke._run(n, *forms[nu], [("g", None)])
+            out.append(_check(name, n, sides))
+        got = (RF_ONE, hecke._run(n, *f, [("g", None)]))
         cyc = (nu[-1],) + nu[:-1]
-        want = fs[cyc].scale(RatFunc.q_power(-nu[-1]))
-        out.append(_check(f"g f_{nu} = q^-{nu[-1]} f_{cyc}", got, want))
+        sides = [got, (-RatFunc.q_power(-nu[-1]), fs[cyc])]
+        out.append(_check(f"g f_{nu} = q^-{nu[-1]} f_{cyc}", n, sides))
     return out

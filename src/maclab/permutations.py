@@ -12,12 +12,16 @@ s_{i_1} ... s_{i_l} the rightmost letter acts first.
 from __future__ import annotations
 
 from itertools import permutations as _it_permutations
+from operator import index
 
 from .errors import InvalidInputError
 
 
 def check_perm(w, n=None):
-    w = tuple(int(x) for x in w)
+    try:
+        w = tuple(map(index, w))
+    except TypeError:
+        raise InvalidInputError(f"{w!r} is not a vector of integers") from None
     m = len(w)
     if n is not None and m != n:
         raise InvalidInputError(f"{w} does not have length {n}")

@@ -52,15 +52,13 @@ def suite_eigen(n: int):
 
 def suite_haction(n: int):
     # every mu with |mu| <= 3; verify_haction checks an ascent at s_i mu, so
-    # each pair is taken once, at its descent or tie; each E is joined once
-    # for the whole suite
-    joined = {}
+    # each pair is taken once, at its descent or tie
     return [
         line
         for mu in _weights(n, 3)
         for i in range(1, n)
         if mu[i - 1] >= mu[i]
-        for line in macdonald._verify_haction(mu, i, joined)
+        for line in macdonald.verify_haction(mu, i)
     ]
 
 

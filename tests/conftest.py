@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
 import itertools
 import random
 
 from hypothesis import strategies as st
 
+from maclab import macdonald
 from maclab.laurent import LaurentPoly
 from maclab.ratfunc import RF_ONE, RF_T, RatFunc, one_minus
 
@@ -87,3 +89,30 @@ def laurent_polys(n):
     return st.randoms(use_true_random=False).map(
         lambda rng: random_field_laurent(rng, n)
     )
+
+
+def plant_wrong_scalar(monkeypatch, suite):
+    """A wrong scalar in one verify suite: the Y_i eigenvalue ("eigen") or
+    d_mu ("haction") times q, or ("kz") the increasing f_nu of each orbit
+    doubled."""
+    if suite == "eigen":
+        real = macdonald.eigenvalue
+        monkeypatch.setattr(macdonald, "eigenvalue", lambda mu, i: real(mu, i) * Q)
+    elif suite == "haction":
+        real = macdonald.eigen_data
+
+        def wrong(mu, i):
+            ed = real(mu, i)
+            return dataclasses.replace(ed, d_mu=ed.d_mu * Q)
+
+        monkeypatch.setattr(macdonald, "eigen_data", wrong)
+    else:
+        real = macdonald._orbit_numerators
+
+        def doubled(lam, N):
+            for nu, M in real(lam, N):
+                if nu == tuple(sorted(lam)) != lam:
+                    M = {e: 2 * p for e, p in M.items()}
+                yield nu, M
+
+        monkeypatch.setattr(macdonald, "_orbit_numerators", doubled)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import plant_wrong_scalar
 from maclab.cli import main
 from maclab.errors import InvariantViolation
 from maclab.macdonald import CheckLine
@@ -420,18 +421,53 @@ class TestExitCodes:
     def test_failed_check_with_odd_v_exits_one(self, capsys, monkeypatch):
         # at even n every Y_i eigenvalue carries an odd power of t^(1/2):
         # a wrong one is a failed check, its difference shown in q and v
-        from maclab import macdonald
-        from maclab.ratfunc import RatFunc
-
-        real = macdonald.eigenvalue
-        monkeypatch.setattr(
-            macdonald, "eigenvalue", lambda mu, i: real(mu, i) * RatFunc.q_power(1)
-        )
+        plant_wrong_scalar(monkeypatch, "eigen")
         rc, out, err = run(capsys, "verify", "--suite", "eigen", "--n", "2")
         assert rc == 1
         assert "FAIL Y_2 E_(0, 0): difference (-q + 1)/(v)\n" in err
         assert err.count("FAIL ") == 20
         assert out.strip() == "0/20 checks passed"
+
+    def test_failed_haction_check_exits_one(self, capsys, monkeypatch):
+        # d_mu times q: the lines with D E_mu fail, and the detail is the
+        # difference of the two sides as joined polynomials
+        from maclab import macdonald
+        from maclab.hecke import apply_operator_word
+        from maclab.ratfunc import RF_T, RatFunc, one_minus
+
+        ed = macdonald.eigen_data((1, 0, 0), 1)
+        plant_wrong_scalar(monkeypatch, "haction")
+        rc, out, err = run(capsys, "verify", "--suite", "haction", "--n", "3")
+        assert rc == 1
+        assert err.count("FAIL ") == 28
+        assert out.strip() == "78/106 checks passed"
+        E = macdonald.compute_E((1, 0, 0)).poly
+        Es = macdonald.compute_E((0, 1, 0)).poly
+        got = apply_operator_word(["T1"], Es).scale(RatFunc.v_power(1))
+        want = E.scale(ed.d_mu * RatFunc.q_power(1))
+        want = want - Es.scale(one_minus(RF_T) / one_minus(ed.a_simu))
+        diff = (got - want)._readable()
+        assert f"FAIL t^1/2 T_1 E_(0, 1, 0): difference {diff}\n" in err
+        line = f"FAIL t^1/2 tau_1 E_(0, 1, 0) = D E_(1, 0, 0): difference {diff}\n"
+        assert line in err
+
+    def test_failed_kz_check_exits_one(self, capsys, monkeypatch):
+        # the increasing f_nu of each orbit doubled: lines that relate it
+        # to another f_nu fail
+        from maclab import macdonald
+        from maclab.hecke import apply_operator_word
+        from maclab.ratfunc import RatFunc
+
+        plant_wrong_scalar(monkeypatch, "kz")
+        rc, out, err = run(capsys, "verify", "--suite", "kz", "--n", "3")
+        assert rc == 1
+        assert err.count("FAIL ") == 40
+        assert out.strip() == "65/105 checks passed"
+        f = macdonald.compute_f((0, 2, 0)).poly
+        got = apply_operator_word(["T2"], f).scale(RatFunc.v_power(1))
+        want = macdonald.compute_f((0, 0, 2)).poly
+        diff = (got - (want + want))._readable()
+        assert f"FAIL t^1/2 T_2 f_(0, 2, 0) = f_(0, 0, 2): difference {diff}\n" in err
 
     def test_verify_failure_exits_one(self, capsys, monkeypatch):
         from maclab import cli

@@ -10,6 +10,7 @@ import inspect
 import itertools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -565,6 +566,32 @@ class TestStructuralProperties:
             compute_P((1, 2, 0))
         with pytest.raises(InvalidInputError):
             compute_P((2, 1, 0), "nonsense")
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, "2", "a", Fraction(1, 2), Fraction(2)])
+    def test_weight_entries_are_integers(self, entry):
+        # no float, string or Fraction is truncated or parsed into a weight
+        from maclab.diagrams import count
+
+        with pytest.raises(InvalidInputError):
+            compute_E((entry, 0))
+        with pytest.raises(InvalidInputError):
+            LaurentPoly.x(1, 2).coeff((entry, 0))
+        with pytest.raises(InvalidInputError):
+            count((entry, 0), "naf")
+        assert compute_E((True, 0)) == compute_E((1, 0))
+
+    @pytest.mark.parametrize("entry", [2.0, 2.9, "2", Fraction(2), Fraction(5, 2)])
+    def test_basement_entries_are_integers(self, entry):
+        # each of these read as 2 made (2, 1) a valid basement
+        from maclab.diagrams import enumerate_fillings
+
+        with pytest.raises(InvalidInputError):
+            fperm.check_perm((entry, 1))
+        with pytest.raises(InvalidInputError):
+            compute_E_rel((1, 0), (entry, 1))
+        with pytest.raises(InvalidInputError):
+            enumerate_fillings((1, 0), (entry, 1))
+        assert fperm.check_perm((True, 2)) == (1, 2)
 
 
 def reference_walk(mu):

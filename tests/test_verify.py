@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from conftest import plant_wrong_scalar
 from maclab import hecke, macdonald, verify
 
 
@@ -36,12 +37,10 @@ def test_weights_do_not_walk_every_tuple():
     assert len(set(weights)) == len(weights)
 
 
-def test_haction_suite_joins_each_E_once(monkeypatch):
-    # n = 4 has 39 ties and 33 descents over 35 distinct weights: one
-    # join per operator run (Y_i^-1 Y_(i+1) E and t^(1/2) T_i E, plus
-    # t^(1/2) T_i E_(s_i mu) at a descent) and one per distinct E makes
-    # 2 * 39 + 3 * 33 + 35 = 212; joining E and E_(s_i mu) on every
-    # (mu, i) made 282
+@pytest.mark.parametrize("suite", ["eigen", "haction", "kz"])
+def test_suites_join_only_to_print_a_failure(monkeypatch, suite):
+    # a check compares numerator forms over one denominator, so a passing
+    # suite joins nothing and a failed check joins its difference once
     calls = []
     join = hecke._join
 
@@ -50,18 +49,13 @@ def test_haction_suite_joins_each_E_once(monkeypatch):
         return join(n, S, N)
 
     monkeypatch.setattr(hecke, "_join", counted)
-    lines = verify.suite_haction(4)
-    assert len(lines) == 282 and all(line.ok for line in lines)
-    assert len(calls) == 212
-
-
-def test_verify_haction_alone_keeps_its_checks():
-    # the public check takes no memo and returns what the suite does
-    joined = {}
-    for mu, i in (((2, 1, 0), 1), ((0, 2, 1), 1), ((1, 1, 0), 1)):
-        want = macdonald._verify_haction(mu, i, joined)
-        got = macdonald.verify_haction(mu, i)
-        assert [(c.name, c.ok) for c in got] == [(c.name, c.ok) for c in want]
+    lines = verify.SUITES[suite](4)
+    assert len(lines) == {"eigen": 140, "haction": 282, "kz": 280}[suite]
+    assert all(line.ok for line in lines) and calls == []
+    plant_wrong_scalar(monkeypatch, suite)
+    failed = [line for line in verify.SUITES[suite](4) if not line.ok]
+    assert failed and all(line.detail.startswith("difference ") for line in failed)
+    assert len(calls) == len(failed)
 
 
 def test_kz_suite_walks_each_orbit_once(monkeypatch):
