@@ -14,13 +14,17 @@ An operator call writes f = S * sum N_e x^e over one shared denominator
 (`_split`): S is one RatFunc and each N_e lies in Z[q, v].  Every
 operator is a list of letters, and one executor (`_run`) applies them
 to the N_e: t^(1/2) T_i needs only polynomial adds and a shift by v^2,
-and g^(+-1) rotates the exponents and shifts by powers of q.  The
-leftover powers of q and v are folded into S once, and `_run` returns
-the form (S, N); `_join` rebuilds canonical coefficients from it.
-`apply_operator_word` is the one public way to apply an operator.
-`macdonald` runs its letters on the cached form of E_mu without a
-split; it joins the results it returns, and a verify check compares
-forms and joins only to print a failure.
+g^(+-1) rotates the exponents and shifts by powers of q, x_1 shifts
+the exponents, and the intertwiner t^(1/2) T_i + c multiplies by c's
+denominator and moves it into S.  g_vee is the letters T_(n-1), ...,
+T_1 followed by x_1.  The leftover powers of q and v are folded into S
+once, and `_run` returns the form (S, N); `_join` rebuilds canonical
+coefficients from it.  `apply_operator_word` is the one public way to
+apply an operator.  `macdonald` runs its letters on the cached form of
+E_mu without a split, the walk that builds E_mu among them (a pi
+letter is g then x_1, an s letter an intertwiner); it joins the
+results it returns, and a verify check compares forms and joins only
+to print a failure.
 """
 
 from __future__ import annotations
@@ -103,14 +107,6 @@ def _tT(i: int, N):
     return out
 
 
-def _gvee(N, n: int):
-    """x_1 t^((n-1)/2) T_1 ... T_{n-1} on the numerators N: g_vee up to
-    the scalar t^((n-1)/2)."""
-    for i in range(n - 1, 0, -1):
-        N = _tT(i, N)
-    return {(e[0] + 1,) + e[1:]: p for e, p in N.items()}
-
-
 def _g(N, inverse: bool):
     """g, or g^-1, on the numerators N, up to the scalar q^k it returns.
 
@@ -130,11 +126,15 @@ def _run(n: int, S: RatFunc, N, letters):
     """The letters, first to last, on f = S * sum N_e x^e, as the form
     (S', N') of the result: nothing is joined.
 
-    A letter is (name, i), and only the T letters read i: 'tT' is
-    t^(1/2) T_i, 'T' and 'T^-1' are T_i and T_i^(-1), 'g', 'g^-1' and
-    'gvee' are g, g^(-1) and g_vee, '1_0' is the symmetrizer and 'sum' is
-    1_0 without its t^(-l(w0)/2).  The powers of q and v the letters
-    leave over are folded into S once.
+    A letter is (name, i), and only the T and tau letters read i: 'tT'
+    is t^(1/2) T_i, 'T' and 'T^-1' are T_i and T_i^(-1), 'g' and 'g^-1'
+    are g and g^(-1), 'x1' multiplies by x_1, 'tau' with i = (i, c) is
+    the intertwiner t^(1/2) T_i + c for a RatFunc c, '1_0' is the
+    symmetrizer and 'sum' is 1_0 without its t^(-l(w0)/2).  g_vee is the
+    letters T_(n-1), ..., T_1 and then x1 (`_gvee_letters`).  The tau
+    letter multiplies the numerators by c's denominator and divides S
+    by it; the powers of q and v the other letters leave over are
+    folded into S once.
     """
     qk = vk = 0
     for name, i in letters:
@@ -147,20 +147,30 @@ def _run(n: int, S: RatFunc, N, letters):
             if name != "tT":
                 vk -= 1
             N = out
+        elif name == "tau":  # (den t^(1/2) T_i + num) / den, c = num / den
+            i, c = i
+            _check_index(i, n)
+            num, den = c.num, c.den
+            out = {e: den * p for e, p in _tT(i, N).items()}
+            for e, p in N.items():
+                _acc(out, e, num * p)
+            N = out
+            S = S / RatFunc(den)
         elif name in ("g", "g^-1"):
             N, k = _g(N, name == "g^-1")
             qk += k
-        elif name == "gvee":
-            N = _gvee(N, n)
-            vk -= n - 1
+        elif name == "x1":
+            N = {(e[0] + 1,) + e[1:]: p for e, p in N.items()}
         elif name in ("1_0", "sum"):
             N = _symmetrize(N, n)
             if name == "1_0":
                 vk -= n * (n - 1) // 2
         else:
             raise InvariantViolation(f"unknown operator letter {name!r}")
-    if qk or vk:
-        S = S * RatFunc.q_power(qk) * RatFunc.v_power(vk)
+    if qk:
+        S = S * RatFunc.q_power(qk)
+    if vk:
+        S = S * RatFunc.v_power(vk)
     return S, N
 
 
@@ -224,6 +234,11 @@ def apply_T_reference(i: int, f: LaurentPoly) -> LaurentPoly:
 _INVERSE = {"T": "T^-1", "T^-1": "T", "g": "g^-1"}
 
 
+def _gvee_letters(n: int):
+    """g_vee = x_1 T_1 ... T_(n-1) as letters, first applied first."""
+    return [("T", i) for i in range(n - 1, 0, -1)] + [("x1", None)]
+
+
 def _Y_letters(i: int, n: int, inverse: bool = False):
     """Y_i as letters, first applied first: Y_1 = g T_{n-1} ... T_1 and
     Y_{i+1} = T_i^(-1) Y_i T_i^(-1).  Y_i^(-1) reverses them and inverts
@@ -259,7 +274,7 @@ def _symmetrize(N, n: int):
 # ---------------------------------------------------------------------------
 # operator words and X^{omega_r}
 
-_PLAIN_TAGS = ("g", "g^-1", "gvee", "1_0")
+_PLAIN_TAGS = ("g", "g^-1", "1_0")
 _INDEXED_TAG = re.compile(r"([TY])([0-9]+)(\^-1)?")
 
 
@@ -288,6 +303,9 @@ def apply_operator_word(word, f: LaurentPoly) -> LaurentPoly:
     for tag in reversed(list(word)):
         if tag in _PLAIN_TAGS:
             letters.append((tag, None))
+            continue
+        if tag == "gvee":
+            letters.extend(_gvee_letters(f.n))
             continue
         m = _INDEXED_TAG.fullmatch(tag) if isinstance(tag, str) else None
         if m is None:
@@ -334,4 +352,4 @@ def apply_X_omega(r: int, f: LaurentPoly) -> LaurentPoly:
     if not 1 <= r <= n:
         raise InvalidInputError(f"X^omega_{r} needs 1 <= r <= {n}")
     word = [j for m in range(1, r + 1) for j in range(n - r + m - 1, m - 1, -1)]
-    return _apply(f, [("T^-1", i) for i in reversed(word)] + [("gvee", None)] * r)
+    return _apply(f, [("T^-1", i) for i in reversed(word)] + _gvee_letters(n) * r)

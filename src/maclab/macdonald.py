@@ -3,30 +3,32 @@
 E_mu is built by walking the box-greedy word of u_mu from the constant
 polynomial, one box at a time: the block s_u ... s_1 pi of the word's
 first box runs last, on the cached E of the weight with that box
-removed, so walks share their states.  An s_i letter applies the
-intertwiner step t^(1/2) T_i + (1 - t)/(1 - a_nu).  A pi letter is the
-Knop-Sahi recurrence E_(Phi nu) = q^(nu_n) x_1 (g E_nu), with
-Phi nu = (nu_n + 1, nu_1, ..., nu_(n-1)) (Knop, Integrality of two
+removed, so walks share their states.  Every letter runs in
+`hecke._run`, the one executor of operator letters.  An s_i letter is
+the intertwiner letter 'tau', t^(1/2) T_i + (1 - t)/(1 - a_nu).  A pi
+letter is the Knop-Sahi recurrence E_(Phi nu) = q^(nu_n) x_1 (g E_nu),
+with Phi nu = (nu_n + 1, nu_1, ..., nu_(n-1)) (Knop, Integrality of two
 variable Kostka functions, J. reine angew. Math. 1997; Sahi,
 Interpolation, integrality, and a generalization of Macdonald's
-polynomials, IMRN 1996): it rotates the exponents, shifts by powers of
-q and multiplies by x_1, so it runs no T_i and leaves E monic with no
-leading coefficient to divide out.  The walk runs on integer numerators
-over one shared denominator, and that form (S, N) is cached for every
+polynomials, IMRN 1996): the letters g then x1, with q^(nu_n) folded
+into S, so it runs no T_i and leaves E monic with no leading
+coefficient to divide out.  The walk runs on integer numerators over
+one shared denominator, and that form (S, N) is cached for every
 weight the walk passes, at each box boundary (`_E_box`, built from the
 bottom up by `_E_form`).  That step's cache is the only memo of E:
 `compute_E` joins the form on every call.
 
 Everything else is a Hecke-operator twist of some E, run on N with its
-scalar folded into S and joined once at the end: E_mu^z and f_mu apply a
-reduced word, F_mu and P_lambda by `symmetrize` the coset recursion of
-the symmetrizer, and P_lambda by `sum-rel` walks the orbit of lambda by
-f_(s_i nu) = t^(1/2) T_i f_nu (nu_i > nu_(i+1)), one letter per weight.
+scalar folded into S and joined once at the end: E_mu^z applies a
+reduced word and f_mu is E_lambda^(z_mu), F_mu and P_lambda by
+`symmetrize` the coset recursion of the symmetrizer, and P_lambda by
+`sum-rel` walks the orbit of lambda by f_(s_i nu) = t^(1/2) T_i f_nu
+(nu_i > nu_(i+1)), one letter per weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -121,26 +123,32 @@ def _E_form(mu):
     return form
 
 
+_PI_LETTERS = [("g", None), ("x1", None)]
+
+
 @lru_cache(maxsize=4096)
 def _E_box(mu):
     """The form of `_E_form(mu)` from that of the weight before mu, which
     the caller has cached.
 
-    The pi letter is x_1 g, not g_vee = x_1 T_1 ... T_(n-1): by the
-    Knop-Sahi recurrence E_(Phi nu) = q^(nu_n) x_1 (g E_nu), both give
-    E_(Phi nu) up to a scalar, and for x_1 g that scalar is the known
-    power q^(nu_n).  So the letter costs a rotation instead of n - 1
-    T letters, and E stays monic without a leading coefficient to look
-    up and divide out; one check per weight confirms it.
+    The block's letters run in `hecke._run`.  The pi letter is g then
+    x1, not g_vee = x_1 T_1 ... T_(n-1): by the Knop-Sahi recurrence
+    E_(Phi nu) = q^(nu_n) x_1 (g E_nu), both give E_(Phi nu) up to a
+    scalar, and for x_1 g that scalar is the known power q^(nu_n), which
+    goes into S.  So the letter costs a rotation instead of n - 1 T
+    letters, and E stays monic without a leading coefficient to look up
+    and divide out; one check per weight confirms it.  Each s_i letter
+    is the intertwiner letter 'tau' with c = (1 - t)/(1 - a_nu).
     """
     if not any(mu):
         return RF_ONE, MappingProxyType({mu: RING.one})
+    n = len(mu)
     nu, u = _first_box_block(mu)
     S, N = _E_box(nu)
     # the block's letters in the order the walk runs them: pi, s_1, ..., s_u
-    N, k = hecke._g(N, False)
-    N = {(e[0] + 1,) + e[1:]: p for e, p in N.items()}
-    S = S * RatFunc.q_power(k + nu[-1])
+    if nu[-1]:  # the Knop-Sahi scalar; q^0 would still cost a multiply
+        S = S * RatFunc.q_power(nu[-1])
+    S, N = hecke._run(n, S, N, _PI_LETTERS)
     nu = (nu[-1] + 1,) + nu[:-1]
     # without this the numerators keep every factor that the s letters
     # put in and that S could take back: at n = 6 they grow about
@@ -149,20 +157,15 @@ def _E_box(mu):
     S, quos = _cancel_common(S, distinct)
     quo = dict(zip(distinct, quos))
     N = {e: quo[p] for e, p in N.items()}
+    letters = []
     for i in range(1, u + 1):
         if nu[i - 1] <= nu[i]:
             raise InvariantViolation(f"box-greedy word hit s_{i} at weight {nu}")
-        # t^(1/2) T_i + num/den = (den t^(1/2) T_i + num) / den
-        scalar = one_minus(RF_T) / one_minus(_a_mu(nu, i))
-        num, den = scalar.num, scalar.den
-        out = {e: den * p for e, p in hecke._tT(i, N).items()}
-        for e, p in N.items():
-            _acc(out, e, num * p)
-        N = out
-        S = S / RatFunc(den)
+        letters.append(("tau", (i, one_minus(RF_T) / one_minus(_a_mu(nu, i)))))
         nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
     if nu != mu:
         raise InvariantViolation(f"walk ended at {nu}, wanted {mu}")
+    S, N = hecke._run(n, S, N, letters)
     lead = N.get(mu)
     # S * lead = 1 with S = num / den in lowest terms, without a fraction
     # whose cancellation trial-divides lead by every factor of den
@@ -191,27 +194,17 @@ def compute_E_rel(mu, z) -> MacdonaldResult:
     return MacdonaldResult(mu, hecke._join(len(mu), *form), "operator-chain", z)
 
 
-def _f_form(mu):
-    """(S, N, z) with f_mu = S * sum N_e x^e: the reduced word of z = z_mu
-    run on the numerators of E_lambda, over E_lambda's S."""
-    lam = tuple(sorted(mu, reverse=True))
-    z = fperm.min_coset_rep(mu)
-    S, N = _E_form(lam)
-    for i in reversed(fperm.reduced_word(z)):
-        N = hecke._tT(i, N)
-    return S, N, z
-
-
 def compute_f(mu) -> MacdonaldResult:
-    """f_mu = t^(l(z_mu)/2) T_{z_mu} E_lambda, the KZ-family member."""
+    """f_mu = t^(l(z_mu)/2) T_{z_mu} E_lambda, the KZ-family member: that
+    is E_lambda^(z_mu)."""
     mu = check_weight(mu, nonneg=True)
-    S, N, z = _f_form(mu)
-    return MacdonaldResult(mu, hecke._join(len(mu), S, N), "operator-chain", z)
+    lam = tuple(sorted(mu, reverse=True))
+    return replace(compute_E_rel(lam, fperm.min_coset_rep(mu)), mu=mu)
 
 
-def _orbit_numerators(lam, N):
-    """Yield (nu, M) for every nu in the orbit of lam, with M the
-    numerators of f_nu over the S of E_lam.
+def _orbit_forms(lam):
+    """Yield (nu, (S, M)) for every nu in the orbit of lam, with
+    f_nu = S * sum M_e x^e and S that of E_lam.
 
     f_lam = E_lam, and f_(s_i nu) = t^(1/2) T_i f_nu at each descent
     nu_i > nu_(i+1).  Each nu other than lam is reached once, from
@@ -219,16 +212,16 @@ def _orbit_numerators(lam, N):
     per weight.
     """
     n = len(lam)
-    stack = [(lam, N)]
+    stack = [(lam, _E_form(lam))]
     while stack:
-        nu, M = stack.pop()
-        yield nu, M
+        nu, f = stack.pop()
+        yield nu, f
         for i in range(1, n):
             if nu[i - 1] > nu[i]:
                 snu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
                 # i is the first ascent of snu: snu_1 >= ... >= snu_i
                 if all(snu[j - 1] >= snu[j] for j in range(1, i)):
-                    stack.append((snu, hecke._tT(i, M)))
+                    stack.append((snu, hecke._run(n, *f, [("tT", i)])))
 
 
 def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
@@ -239,9 +232,9 @@ def compute_P(lam, method: str = "sum-rel") -> MacdonaldResult:
         raise InvalidInputError(f"{lam} is not weakly decreasing")
     n = len(lam)
     if method == "sum-rel":
-        S, N = _E_form(lam)
         total = {}
-        for _, M in _orbit_numerators(lam, N):
+        # every f_nu lies over E_lam's S
+        for _, (S, M) in _orbit_forms(lam):
             for e, p in M.items():
                 _acc(total, e, p)
         return MacdonaldResult(lam, hecke._join(n, S, total), "operator-chain")
@@ -577,9 +570,7 @@ def verify_kz(lam) -> list:
     if list(lam) != sorted(lam, reverse=True):
         raise InvalidInputError(f"{lam} is not weakly decreasing")
     n = len(lam)
-    # every f_nu lies over E_lam's S; the letters run on its numerators
-    S, N = _E_form(lam)
-    fs = {nu: (S, M) for nu, M in _orbit_numerators(lam, N)}
+    fs = dict(_orbit_forms(lam))
     out = []
     for nu in fperm.weight_orbit(lam):
         f = fs[nu]

@@ -405,12 +405,11 @@ def _dense_exquo(h, g):
     return None if any(h[:dg]) else quo
 
 
-def _make(num, c, fac, den=None):
+def _make(num, c, fac):
     r = object.__new__(RatFunc)
     r.num = num
     r._c = c
     r._fac = fac
-    r._den = den
     return r
 
 
@@ -421,7 +420,7 @@ class RatFunc:
     product of irreducible factors, and `den` is that product.
     """
 
-    __slots__ = ("num", "_c", "_fac", "_den")
+    __slots__ = ("num", "_c", "_fac")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -438,35 +437,31 @@ class RatFunc:
         self.num = num
         self._c = u
         self._fac = fac
-        self._den = None
 
     @property
     def den(self):
-        """The denominator as an IntPoly2."""
-        d = self._den
-        if d is None:
-            d = RING.ground_new(self._c)
-            for f, k in self._fac.items():
-                d = d * f.poly**k
-            self._den = d
+        """The denominator as an IntPoly2, multiplied out on each read."""
+        d = RING.ground_new(self._c)
+        for f, k in self._fac.items():
+            d = d * f.poly**k
         return d
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_int(k) -> "RatFunc":
-        return _make(RING.ground_new(k), 1, {}, _ONE)
+        return _make(RING.ground_new(k), 1, {})
 
     @staticmethod
     def q_power(k: int) -> "RatFunc":
         if k >= 0:
-            return _make(QGEN**k, 1, {}, _ONE)
+            return _make(QGEN**k, 1, {})
         return _make(_ONE, 1, {_FQ: -k})
 
     @staticmethod
     def v_power(k: int) -> "RatFunc":
         if k >= 0:
-            return _make(VGEN**k, 1, {}, _ONE)
+            return _make(VGEN**k, 1, {})
         return _make(_ONE, 1, {_FV: -k})
 
     @staticmethod
@@ -480,7 +475,7 @@ class RatFunc:
         vexp = 2 * texp
         num = IntPoly2({(max(qexp, 0), max(vexp, 0)): 1})
         fac = {f: -k for f, k in ((_FQ, qexp), (_FV, vexp)) if k < 0}
-        return _make(num, 1, fac, None if fac else _ONE)
+        return _make(num, 1, fac)
 
     # -- predicates -----------------------------------------------------
 
@@ -532,7 +527,7 @@ class RatFunc:
         return _make(s, c, fac)
 
     def __neg__(self):
-        return _make(-self.num, self._c, self._fac, self._den)
+        return _make(-self.num, self._c, self._fac)
 
     def __sub__(self, other):
         return self + (-other)
@@ -559,8 +554,8 @@ class RatFunc:
             raise DivisionByZeroError("inverse of zero")
         u, fac = _factor(self.num)
         if u < 0:
-            return _make(-self.den, -u, fac, -self.num)
-        return _make(self.den, u, fac, self.num)
+            return _make(-self.den, -u, fac)
+        return _make(self.den, u, fac)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -717,8 +712,8 @@ def _cancel_common(s, polys):
     return _make(s.num, c, fac), polys
 
 
-_RF_ZERO = _make(_ZERO, 1, {}, _ONE)
-_RF_ONE = _make(_ONE, 1, {}, _ONE)
+_RF_ZERO = _make(_ZERO, 1, {})
+_RF_ONE = _make(_ONE, 1, {})
 
 RF_ZERO = _RF_ZERO
 RF_ONE = _RF_ONE

@@ -28,21 +28,7 @@ def _weights(n, total):
 def _partitions(n, boxes):
     """The weakly decreasing weights among `_weights(n, boxes)`, in the
     same order."""
-    for s in range(boxes + 1):
-        yield from _decreasing(n, s, s)
-
-
-def _decreasing(n, s, top):
-    """The weakly decreasing weights of length n and size s with parts
-    at most top, in lexicographic order."""
-    if n == 0:
-        if s == 0:
-            yield ()
-        return
-    # the first part is the largest, so it is at least s / n
-    for a in range(-(-s // n), min(s, top) + 1):
-        for rest in _decreasing(n - 1, s - a, a):
-            yield (a,) + rest
+    return (mu for mu in _weights(n, boxes) if list(mu) == sorted(mu, reverse=True))
 
 
 def suite_eigen(n: int):

@@ -107,12 +107,12 @@ def plant_wrong_scalar(monkeypatch, suite):
 
         monkeypatch.setattr(macdonald, "eigen_data", wrong)
     else:
-        real = macdonald._orbit_numerators
+        real = macdonald._orbit_forms
 
-        def doubled(lam, N):
-            for nu, M in real(lam, N):
+        def doubled(lam):
+            for nu, (S, M) in real(lam):
                 if nu == tuple(sorted(lam)) != lam:
                     M = {e: 2 * p for e, p in M.items()}
-                yield nu, M
+                yield nu, (S, M)
 
-        monkeypatch.setattr(macdonald, "_orbit_numerators", doubled)
+        monkeypatch.setattr(macdonald, "_orbit_forms", doubled)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, T, laurent_polys, random_laurent
+from conftest import Q, T, laurent_polys, random_laurent, random_ratfunc
 from maclab import hecke
 from maclab import permutations as fperm
 from maclab.errors import InvalidInputError, InvariantViolation
@@ -170,6 +170,17 @@ class TestSharedDenominator:
     def test_inverse_matches_divided_difference(self, f, i):
         want = apply_T_reference(i, f) - f.scale(V - VINV)
         assert op(f"T{i}^-1", f) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(laurent_polys(3), st.sampled_from((1, 2)), st.integers(0, 2**32))
+    def test_walk_letters_match_the_field(self, f, i, seed):
+        # the letters the E_mu walk runs: x1, and the intertwiner
+        # t^(1/2) T_i + c, which moves c's denominator into S
+        c = random_ratfunc(random.Random(seed))
+        got = _join(3, *hecke._run(3, *_split(f), [("tau", (i, c))]))
+        assert got == apply_T_reference(i, f).scale(V) + f.scale(c)
+        got = _join(3, *hecke._run(3, *_split(f), [("x1", None)]))
+        assert got == f.mul_monomial((1, 0, 0))
 
 
 class TestGOperators:

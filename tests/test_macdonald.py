@@ -19,7 +19,7 @@ from maclab import hecke
 from maclab import permutations as fperm
 from maclab.affine import _first_box_block, box_greedy_word
 from maclab.errors import InvalidInputError, InvariantViolation
-from maclab.laurent import LaurentPoly, _acc
+from maclab.laurent import LaurentPoly
 from maclab.macdonald import (
     _E_box,
     _E_form,
@@ -128,9 +128,17 @@ class TestGoldenOrbit210:
             assert compute_f(mu).poly == lp(3, want), mu
 
     def test_f_equals_relative_E_of_lambda(self):
-        for mu in fperm.weight_orbit((2, 1, 0)):
-            z = fperm.min_coset_rep(mu)
-            assert compute_f(mu).poly == compute_E_rel((2, 1, 0), z).poly, mu
+        # compute_f is E_lambda^(z_mu); the public operator word T_(z_mu)
+        # on E_lambda, split and joined once, is its oracle
+        for n in (1, 2, 3, 4):
+            for mu in compositions(n, 4):
+                lam = tuple(sorted(mu, reverse=True))
+                z = fperm.min_coset_rep(mu)
+                word = fperm.reduced_word(z)
+                Tz = hecke.apply_operator_word([f"T{i}" for i in word], compute_E(lam).poly)
+                got = compute_f(mu)
+                assert got.poly == Tz.scale(RatFunc.v_power(len(word))), mu
+                assert (got.mu, got.z) == (mu, z)
 
 
 class TestGoldenSmall:
@@ -630,14 +638,15 @@ class TestWalkOnNumerators:
 
 
 def gvee_walk(mu):
-    """E_mu by the numerator walk with g_vee as the pi letter: n - 1 T
-    letters and x_1, then the leading coefficient divided out."""
+    """E_mu by the numerator walk with g_vee as the pi letter (its T
+    letters and x1), then the leading coefficient divided out; the s
+    letters are intertwiner letters."""
     n = len(mu)
     nu = (0,) * n
     S, N = RF_ONE, {nu: RING.one}
     for letter in reversed(box_greedy_word(mu)):
         if letter == "pi":
-            N = hecke._gvee(N, n)
+            S, N = hecke._run(n, S, N, hecke._gvee_letters(n))
             nu = (nu[-1] + 1,) + nu[:-1]
             distinct = list(dict.fromkeys(N.values()))
             S, quos = _cancel_common(S / (S * RatFunc(N[nu])), distinct)
@@ -645,13 +654,8 @@ def gvee_walk(mu):
             N = {e: quo[p] for e, p in N.items()}
         else:
             i = int(letter[1:])
-            scalar = one_minus(T) / one_minus(eigen_data(nu, i).a_mu)
-            num, den = scalar.num, scalar.den
-            out = {e: den * p for e, p in hecke._tT(i, N).items()}
-            for e, p in N.items():
-                _acc(out, e, num * p)
-            N = out
-            S = S / RatFunc(den)
+            c = one_minus(T) / one_minus(eigen_data(nu, i).a_mu)
+            S, N = hecke._run(n, S, N, [("tau", (i, c))])
             nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
     return hecke._join(n, S, N)
 

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import plant_wrong_scalar
 from maclab import hecke, macdonald, verify
+from maclab.laurent import _acc
 
 
 def product_weights(n, total):
@@ -69,3 +70,36 @@ def test_kz_suite_walks_each_orbit_once(monkeypatch):
     lines = verify.suite_kz(4)
     assert len(lines) == 280 and all(line.ok for line in lines)
     assert len(calls) == 284
+
+
+def _tT_without_between(i, N):
+    """t^(1/2) T_i with the monomials strictly between x^e and x^(s_i e)
+    dropped: wrong whenever |e_i - e_(i+1)| >= 2."""
+    out = {}
+    for e, p in N.items():
+        a, b = e[i - 1], e[i]
+        se = e[: i - 1] + (b, a) + e[i + 1 :]
+        tp = p.mul_monom((0, 2))
+        if a == b:
+            _acc(out, e, tp)
+        elif a > b:
+            _acc(out, se, p)
+        else:
+            _acc(out, se, tp)
+            _acc(out, e, tp - p)
+    return out
+
+
+def test_kz_suite_fails_on_a_wrong_tT(monkeypatch):
+    # the orbit walk builds each f_nu with the same t^(1/2) T_i that a
+    # descent line checks, so those lines cannot see a wrong rule; the
+    # suite as a whole must still fail.  The E walk runs the wrong rule
+    # too, so the cache of E is cleared before and after
+    macdonald._E_box.cache_clear()
+    monkeypatch.setattr(hecke, "_tT", _tT_without_between)
+    try:
+        lines = verify.suite_kz(4)
+    finally:
+        monkeypatch.undo()
+        macdonald._E_box.cache_clear()
+    assert len(lines) == 280 and not all(line.ok for line in lines)
