@@ -119,6 +119,8 @@ def conjugate_partition(lam):
 def count(mu, what: str):
     """Exact counts: 'aw', 'naf' for any mu; 'cst', 't', 'c', 'r' for
     partitions (entries weakly decreasing)."""
+    if what not in ("aw", "naf", "cst", "t", "c", "r"):
+        raise InvalidInputError(f"unknown count {what!r}")
     mu = check_weight(mu, nonneg=True)
     n = len(mu)
     if what in ("aw", "naf"):
@@ -152,13 +154,11 @@ def count(mu, what: str):
             if j > 1:
                 prod *= Fraction(2 ** (n - lamc[j - 2]), n - lamc[j - 2] + 1)
         return prod
-    if what == "r":
-        prod = Fraction(1)
-        for (i, j) in boxes_of(lam):
-            if j > 1:
-                prod *= Fraction(n - lamc[j - 1] + 1, n - lamc[j - 2] + 1)
-        return prod
-    raise InvalidInputError(f"unknown count {what!r}")
+    prod = Fraction(1)  # what == "r"
+    for (i, j) in boxes_of(lam):
+        if j > 1:
+            prod *= Fraction(n - lamc[j - 1] + 1, n - lamc[j - 2] + 1)
+    return prod
 
 
 def qt_special_count(shape: str, n: int, r: int) -> int:
@@ -182,9 +182,16 @@ class Filling:
     kind: str = "nonattacking"
 
     def value(self, i, j):
-        if j == 0:
+        """The entry of cell (i, j): z_i in the basement (j = 0,
+        1 <= i <= n), else that of the box (i, j) of dg(mu)."""
+        if j == 0 and 1 <= i <= len(self.z):
             return self.z[i - 1]
-        return self.values[Diagram.of(self.mu).index[i, j]]
+        k = Diagram.of(self.mu).index.get((i, j))
+        if k is None:
+            raise InvalidInputError(
+                f"({i}, {j}) is neither a basement cell nor a box of dg({self.mu})"
+            )
+        return self.values[k]
 
     def as_dict(self):
         return dict(zip(Diagram.of(self.mu).boxes, self.values))

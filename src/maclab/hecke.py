@@ -25,6 +25,14 @@ E_mu without a split, the walk that builds E_mu among them (a pi
 letter is g then x_1, an s letter an intertwiner); it joins the
 results it returns, and a verify check compares forms and joins only
 to print a failure.
+
+The letters touch numerators only through their numerator ring: `+`,
+`-`, multiplying by t (`t`), by a monomial (`shift`) and by a small
+polynomial (`by`).  That ring is `zpoly.RING` for IntPoly2s, and the
+walk passes a `zpoly._Kron` layout instead, whose numerators are ints
+packed by Kronecker substitution: t p is a shift and a binomial
+multiplies as two shifts and a subtraction.  `_tau_bound` bounds how
+far the walk's letters can grow them, so that it can make room first.
 """
 
 from __future__ import annotations
@@ -35,9 +43,9 @@ from . import permutations as fperm
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, _acc
 from .ratfunc import RF_ONE, RF_T, RatFunc, _lift
+from .zpoly import RING
 
 _VINV = RatFunc.v_power(-1)
-_T_MONOM = (0, 2)  # t = v^2 as a monomial of Z[q, v]
 
 
 def _split(f: LaurentPoly):
@@ -68,8 +76,9 @@ def _check_index(i: int, n: int):
         raise InvalidInputError(f"T_{i} needs 1 <= i <= {n - 1}")
 
 
-def _tT(i: int, N):
-    """t^(1/2) T_i on the numerators N, termwise.
+def _tT(i: int, N, ring):
+    """t^(1/2) T_i on the numerators N, termwise, in the numerator ring
+    ring.
 
     On a monomial with exponents (a, b) at positions (i, i+1):
       a = b:  t x^e
@@ -80,11 +89,12 @@ def _tT(i: int, N):
     of p by v^2.
     """
     out = {}
+    t = ring.t
     ia, ib = i - 1, i
     for e, p in N.items():
         a, b = e[ia], e[ib]
         if a == b:
-            _acc(out, e, p.mul_monom(_T_MONOM))
+            _acc(out, e, t(p))
             continue
         mono = list(e)
         mono[ia], mono[ib] = b, a
@@ -92,9 +102,9 @@ def _tT(i: int, N):
             _acc(out, tuple(mono), p)
             if a - b == 1:
                 continue
-            pm = p - p.mul_monom(_T_MONOM)
+            pm = p - t(p)
         else:
-            tp = p.mul_monom(_T_MONOM)
+            tp = t(p)
             _acc(out, tuple(mono), tp)
             pm = tp - p
             _acc(out, e, pm)
@@ -107,8 +117,9 @@ def _tT(i: int, N):
     return out
 
 
-def _g(N, inverse: bool):
-    """g, or g^-1, on the numerators N, up to the scalar q^k it returns.
+def _g(N, inverse: bool, ring):
+    """g, or g^-1, on the numerators N in the ring ring, up to the scalar
+    q^k it returns.
 
     g takes x^e to q^(-e_n) x^(e_n, e_1, ..., e_(n-1)) and g^-1 takes x^e
     to q^(e_1) x^(e_2, ..., e_n, e_1).  With k the least of these powers
@@ -119,10 +130,31 @@ def _g(N, inverse: bool):
     else:
         moved = [(e[-1:] + e[:-1], -e[-1], p) for e, p in N.items()]
     k = min((a for _, a, _ in moved), default=0)
-    return {e: p.mul_monom((a - k, 0)) if a != k else p for e, a, p in moved}, k
+    shift = ring.shift
+    return {e: shift(p, (a - k, 0)) if a != k else p for e, a, p in moved}, k
 
 
-def _run(n: int, S: RatFunc, N, letters):
+def _tau_bound(N, letters):
+    """(k, d) for the tau letters on the numerators N: when every
+    coefficient of N is at most M in size and every v-degree at most D,
+    those of the result are at most k M and D + d.
+
+    Every letter keeps each exponent of the result between the least and
+    the largest exponent in N, so t^(1/2) T_i adds at most w of them
+    into one numerator, w the number of exponents in that range, each
+    times 1, t or 1 - t; the intertwiner then multiplies by c's
+    numerator and denominator.
+    """
+    w = max(map(max, N)) - min(map(min, N)) + 1
+    k, d = 1, 0
+    for _, (_, c) in letters:
+        num, den = c.num, c.den
+        k *= 2 * w * sum(map(abs, den.values())) + sum(map(abs, num.values()))
+        d += max(2 + max(m[1] for m in den), max(m[1] for m in num))
+    return k, d
+
+
+def _run(n: int, S: RatFunc, N, letters, ring=RING):
     """The letters, first to last, on f = S * sum N_e x^e, as the form
     (S', N') of the result: nothing is joined.
 
@@ -135,15 +167,18 @@ def _run(n: int, S: RatFunc, N, letters):
     letter multiplies the numerators by c's denominator and divides S
     by it; the powers of q and v the other letters leave over are
     folded into S once.
+
+    The numerators are IntPoly2s, or ints packed by a `zpoly._Kron`
+    layout passed as ring; the caller makes room for the letters in it.
     """
     qk = vk = 0
     for name, i in letters:
         if name in ("tT", "T", "T^-1"):
             _check_index(i, n)
-            out = _tT(i, N)
+            out = _tT(i, N, ring)
             if name == "T^-1":  # t^(-1/2) (t^(1/2) T_i - (t - 1))
                 for e, p in N.items():
-                    _acc(out, e, p - p.mul_monom(_T_MONOM))
+                    _acc(out, e, p - ring.t(p))
             if name != "tT":
                 vk -= 1
             N = out
@@ -151,18 +186,19 @@ def _run(n: int, S: RatFunc, N, letters):
             i, c = i
             _check_index(i, n)
             num, den = c.num, c.den
-            out = {e: den * p for e, p in _tT(i, N).items()}
+            by_num, by_den = ring.by(num), ring.by(den)
+            out = {e: by_den(p) for e, p in _tT(i, N, ring).items()}
             for e, p in N.items():
-                _acc(out, e, num * p)
+                _acc(out, e, by_num(p))
             N = out
             S = S / RatFunc(den)
         elif name in ("g", "g^-1"):
-            N, k = _g(N, name == "g^-1")
+            N, k = _g(N, name == "g^-1", ring)
             qk += k
         elif name == "x1":
             N = {(e[0] + 1,) + e[1:]: p for e, p in N.items()}
         elif name in ("1_0", "sum"):
-            N = _symmetrize(N, n)
+            N = _symmetrize(N, n, ring)
             if name == "1_0":
                 vk -= n * (n - 1) // 2
         else:
@@ -252,7 +288,7 @@ def _Y_letters(i: int, n: int, inverse: bool = False):
     return letters
 
 
-def _symmetrize(N, n: int):
+def _symmetrize(N, n: int, ring):
     """sum over z in S_n of t^(l(z)/2) T_z on the numerators N.
 
     Uses the coset factorization z = (s_j s_{j+1} .. s_{n-1}) y with
@@ -261,11 +297,11 @@ def _symmetrize(N, n: int):
     """
     if n <= 1:
         return N
-    inner = _symmetrize(N, n - 1)
+    inner = _symmetrize(N, n - 1, ring)
     total = dict(inner)
     cur = inner
     for j in range(n - 1, 0, -1):
-        cur = _tT(j, cur)
+        cur = _tT(j, cur, ring)
         for e, p in cur.items():
             _acc(total, e, p)
     return total

@@ -13,10 +13,12 @@ Interpolation, integrality, and a generalization of Macdonald's
 polynomials, IMRN 1996): the letters g then x1, with q^(nu_n) folded
 into S, so it runs no T_i and leaves E monic with no leading
 coefficient to divide out.  The walk runs on integer numerators over
-one shared denominator, and that form (S, N) is cached for every
-weight the walk passes, at each box boundary (`_E_box`, built from the
-bottom up by `_E_form`).  That step's cache is the only memo of E:
-`compute_E` joins the form on every call.
+one shared denominator, each packed into one int by Kronecker
+substitution (`zpoly._Kron`), and that form (S, N) is cached with its
+layout for every weight the walk passes, at each box boundary
+(`_E_box`, built from the bottom up by `_E_form`, which unpacks it).
+That step's cache is the only memo of E: `compute_E` joins the form on
+every call.
 
 Everything else is a Hecke-operator twist of some E, run on N with its
 scalar folded into S and joined once at the end: E_mu^z applies a
@@ -37,7 +39,8 @@ from . import permutations as fperm
 from .affine import _first_box_block
 from .errors import InvalidInputError, InvariantViolation
 from .laurent import LaurentPoly, _acc, check_weight
-from .ratfunc import RF_ONE, RF_T, RING, RatFunc, _cancel_common, _lift, one_minus
+from .ratfunc import RF_ONE, RF_T, RatFunc, _cancel_common, _lift, one_minus
+from .zpoly import _kron
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,9 @@ class MacdonaldResult:
 
 def _E_form(mu):
     """E_mu as (S, N) with E_mu = S * sum N_e x^e (see hecke._split): S
-    is one RatFunc and each N_e lies in Z[q, v].  The result is the
-    one-box step's cached form, so N is a read-only view: consumers run
-    their letters into new dicts.
+    is one RatFunc and each N_e an IntPoly2 in Z[q, v], unpacked from the
+    one-box step's cached form once per distinct numerator.  N is a
+    read-only view: consumers run their letters into new dicts.
 
     E_mu is built one box at a time.  The box-greedy word of u_mu starts
     with the block s_u ... s_1 pi of its first box, and the rest of the
@@ -119,17 +122,20 @@ def _E_form(mu):
     while any(chain[-1]):
         chain.append(_first_box_block(chain[-1])[0])
     for nu in reversed(chain):
-        form = _E_box(nu)
-    return form
+        S, N, ring = _E_box(nu)
+    polys = {P: ring.unpack(P) for P in set(N.values())}
+    return S, MappingProxyType({e: polys[P] for e, P in N.items()})
 
 
 _PI_LETTERS = [("g", None), ("x1", None)]
+_ZERO_LAYOUT = _kron(16, 16)  # E_0 = 1 packs as 1 in any layout
 
 
 @lru_cache(maxsize=4096)
 def _E_box(mu):
-    """The form of `_E_form(mu)` from that of the weight before mu, which
-    the caller has cached.
+    """The packed form (S, N, ring) of E_mu from that of the weight before
+    mu, which the caller has cached: each N_e is an int packed in the
+    layout ring (`zpoly._Kron`).
 
     The block's letters run in `hecke._run`.  The pi letter is g then
     x1, not g_vee = x_1 T_1 ... T_(n-1): by the Knop-Sahi recurrence
@@ -139,22 +145,27 @@ def _E_box(mu):
     letters, and E stays monic without a leading coefficient to look up
     and divide out; one check per weight confirms it.  Each s_i letter
     is the intertwiner letter 'tau' with c = (1 - t)/(1 - a_nu).
+
+    The pi letter only shifts the packed numerators.  Before the s
+    letters run, `hecke._tau_bound` says how far they can grow them, and
+    the layout's `fit` repacks them into a wider one when they could
+    overflow a lane or a row of this one.
     """
     if not any(mu):
-        return RF_ONE, MappingProxyType({mu: RING.one})
+        return RF_ONE, MappingProxyType({mu: 1}), _ZERO_LAYOUT
     n = len(mu)
     nu, u = _first_box_block(mu)
-    S, N = _E_box(nu)
+    S, N, ring = _E_box(nu)
     # the block's letters in the order the walk runs them: pi, s_1, ..., s_u
     if nu[-1]:  # the Knop-Sahi scalar; q^0 would still cost a multiply
         S = S * RatFunc.q_power(nu[-1])
-    S, N = hecke._run(n, S, N, _PI_LETTERS)
+    S, N = hecke._run(n, S, N, _PI_LETTERS, ring)
     nu = (nu[-1] + 1,) + nu[:-1]
     # without this the numerators keep every factor that the s letters
     # put in and that S could take back: at n = 6 they grow about
     # fivefold.  Equal numerators are common: divide each distinct one once
     distinct = list(dict.fromkeys(N.values()))
-    S, quos = _cancel_common(S, distinct)
+    S, quos = _cancel_common(S, distinct, ring)
     quo = dict(zip(distinct, quos))
     N = {e: quo[p] for e, p in N.items()}
     letters = []
@@ -165,13 +176,18 @@ def _E_box(mu):
         nu = nu[: i - 1] + (nu[i], nu[i - 1]) + nu[i + 1 :]
     if nu != mu:
         raise InvariantViolation(f"walk ended at {nu}, wanted {mu}")
-    S, N = hecke._run(n, S, N, letters)
+    ring, N = ring.fit(N, *hecke._tau_bound(N, letters))
+    S, N = hecke._run(n, S, N, letters, ring)
     lead = N.get(mu)
     # S * lead = 1 with S = num / den in lowest terms, without a fraction
     # whose cancellation trial-divides lead by every factor of den
-    if lead is None or S.num * lead != S.den:
+    if lead is None or S.num * ring.unpack(lead) != S.den:
         raise InvariantViolation(f"E_{mu} is not monic at x^{mu}")
-    return S, MappingProxyType(N)
+    # the cache keeps one int per distinct numerator: on the n = 6
+    # staircase, repeated values are a third of the numerators' bytes
+    shared = {}
+    N = {e: shared.setdefault(P, P) for e, P in N.items()}
+    return S, MappingProxyType(N), ring
 
 
 def compute_E(mu) -> MacdonaldResult:

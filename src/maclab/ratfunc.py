@@ -704,11 +704,12 @@ def _lift(cs):
     return _make(_ONE, c, fac), nums
 
 
-def _cancel_common(s, polys):
+def _cancel_common(s, polys, ring=None):
     """Divide the nonzero IntPoly2 polys by every factor of s's denominator
     that divides all of them, and move it into s: (s', polys') with
-    s' * p' = s * p for each p."""
-    polys, fac, c = _cancel(polys, s._fac, s._c)
+    s' * p' = s * p for each p.  With a `zpoly._Kron` ring the polys are
+    ints packed in its layout, and so are the quotients."""
+    polys, fac, c = (ring.cancel if ring else _cancel)(polys, s._fac, s._c)
     return _make(s.num, c, fac), polys
 
 

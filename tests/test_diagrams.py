@@ -213,6 +213,12 @@ class TestCounts:
         with pytest.raises(InvalidInputError):
             count((1, 2, 0), "cst")
 
+    def test_unknown_count_named_before_the_weight(self):
+        # the name is checked first, so a non-partition does not hide it
+        for mu in ((1, 2, 0), (2, 1, 0)):
+            with pytest.raises(InvalidInputError, match="unknown count 'zz'"):
+                count(mu, "zz")
+
     def test_term_count_consistency(self):
         # t(lam) = n! * #NAF_lam (distinct parts), c(lam) = #AW/#NAF, and
         # r(lam) = #NAF_rev(lam) / #NAF_lam
@@ -250,6 +256,18 @@ class TestFillings:
                 z = list(range(1, n + 1))
                 rng.shuffle(z)
                 assert len(enumerate_fillings(mu, tuple(z))) == naf
+
+    def test_value_reads_basement_and_boxes_only(self):
+        mu, z = (2, 0, 1), (2, 3, 1)
+        T = enumerate_fillings(mu, z)[0]
+        assert [T.value(i, 0) for i in (1, 2, 3)] == list(z)
+        boxes = T.as_dict()
+        assert all(T.value(i, j) == v for (i, j), v in boxes.items())
+        # (0, 0) once read z_n through z[-1]; (2, 1) is not in dg(mu), and
+        # (4, 0) and (1, 3) lie outside the diagram
+        for cell in ((0, 0), (4, 0), (-1, 0), (2, 1), (1, 3), (0, 1), (3, 2)):
+            with pytest.raises(InvalidInputError, match="neither a basement"):
+                T.value(*cell)
 
     def test_single_column_unique(self):
         for n in (3, 4):

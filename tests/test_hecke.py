@@ -24,6 +24,7 @@ from maclab.hecke import (
 )
 from maclab.laurent import LaurentPoly
 from maclab.ratfunc import RF_ONE, RatFunc
+from maclab.zpoly import _kron
 
 x1, x2, x3 = (LaurentPoly.x(i, 3) for i in (1, 2, 3))
 V = RatFunc.v_power(1)
@@ -311,6 +312,64 @@ class TestOneExecutor:
             monkeypatch.setattr(hecke, name, counted)
         run(*args, random_laurent(random.Random(59), 4))
         assert calls == {"_split": 1, "_join": 1}
+
+
+def _tau_letters(rng, count):
+    """count intertwiner letters t^(1/2) T_i + c with random nonzero c."""
+    letters = []
+    while len(letters) < count:
+        c = random_ratfunc(rng)
+        if c:
+            letters.append(("tau", (rng.choice((1, 2)), c)))
+    return letters
+
+
+_LETTERS = [("tT", 1), ("tT", 2), ("T", 1), ("T^-1", 2), ("x1", None)] + [
+    (name, None) for name in ("g", "g^-1", "sum", "1_0", "tau")
+]
+
+
+class TestPackedRing:
+    """`_run` on numerators packed into ints (`zpoly._Kron`) gives the
+    numerators it gives on IntPoly2s, and `_tau_bound` bounds the growth
+    that the E_mu walk makes room for."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        laurent_polys(3),
+        st.lists(st.sampled_from(_LETTERS), max_size=4),
+        st.integers(0, 2**32),
+        st.sampled_from([(64, 64), (128, 48)]),
+    )
+    def test_letters_match_intpoly2(self, f, letters, seed, layout):
+        rng = random.Random(seed)
+        letters = [
+            _tau_letters(rng, 1)[0] if name == "tau" else (name, i)
+            for name, i in letters
+        ]
+        S, N = _split(f)
+        want = hecke._run(3, S, N, letters)
+        K = _kron(*layout)
+        got = hecke._run(3, S, {e: K.pack(p) for e, p in N.items()}, letters, K)
+        assert got[0] == want[0]
+        assert {e: K.unpack(P) for e, P in got[1].items()} == want[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(laurent_polys(3).filter(lambda f: f.terms), st.integers(0, 2**32))
+    def test_tau_bound_holds(self, f, seed):
+        rng = random.Random(seed)
+        letters = _tau_letters(rng, rng.randint(1, 3))
+        S, N = _split(f)
+        k, d = hecke._tau_bound(N, letters)
+        _, M = hecke._run(3, S, N, letters)
+
+        def size(N):
+            return max((abs(c) for p in N.values() for c in p.values()), default=0)
+
+        def vdeg(N):
+            return max((j for p in N.values() for _, j in p), default=0)
+
+        assert size(M) <= k * size(N) and vdeg(M) <= vdeg(N) + d
 
 
 class TestSymmetrizer:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import Q, T, compositions, frac, lp, partitions_in
-from maclab import hecke
+from maclab import hecke, zpoly
 from maclab import permutations as fperm
 from maclab.affine import _first_box_block, box_greedy_word
 from maclab.errors import InvalidInputError, InvariantViolation
@@ -689,8 +689,8 @@ class TestKnopSahiPiLetter:
     def test_corrupt_pi_letter_fails_the_monic_check(self, monkeypatch):
         real = hecke._g
 
-        def off_by_q(N, inverse):
-            N, k = real(N, inverse)
+        def off_by_q(N, inverse, ring):
+            N, k = real(N, inverse, ring)
             return N, k + 1
 
         monkeypatch.setattr(hecke, "_g", off_by_q)
@@ -706,8 +706,8 @@ class TestKnopSahiPiLetter:
         _E_form(nu)
         real = hecke._g
 
-        def off_by_q(N, inverse):
-            N, k = real(N, inverse)
+        def off_by_q(N, inverse, ring):
+            N, k = real(N, inverse, ring)
             return N, k + 1
 
         monkeypatch.setattr(hecke, "_g", off_by_q)
@@ -746,6 +746,59 @@ class TestBoxByBox:
             _E_box.cache_clear()
             for mu in order:
                 assert compute_E(mu).poly == want[mu], mu
+
+
+def _chain(mu):
+    """The weights from (0, ..., 0) up to mu, one box apart."""
+    chain = [mu]
+    while any(chain[-1]):
+        chain.append(_first_box_block(chain[-1])[0])
+    return chain[::-1]
+
+
+class TestPackedWalk:
+    """The walk keeps each numerator as one int packed by Kronecker
+    substitution (`zpoly._Kron`), and repacks its state into a wider
+    layout before a box whose letters could outgrow the lanes or rows."""
+
+    def test_cold_chain_crosses_a_repack(self):
+        mu = (3, 0, 0, 2)
+        _E_box.cache_clear()
+        want = reference_walk(mu)
+        got = compute_E(mu).poly
+        layouts = [(ring.B, ring.W) for _, _, ring in map(_E_box, _chain(mu))]
+        # the rows widen at the fourth box, after three in the first layout
+        assert len(set(layouts[1:])) == 2
+        assert got == want
+        # the step caches packed ints; _E_form unpacks them
+        S, N, ring = _E_box(mu)
+        assert all(type(P) is int for P in N.values())
+        # one int object per distinct numerator
+        assert len({id(P) for P in N.values()}) == len(set(N.values()))
+        form = _E_form(mu)
+        assert form[0] is S
+        assert {e: ring.unpack(P) for e, P in N.items()} == form[1]
+        assert all(type(p) is zpoly.IntPoly2 for p in form[1].values())
+
+    @pytest.mark.parametrize("narrow", ["lanes", "rows"])
+    def test_narrow_layout_raises_and_caches_nothing(self, monkeypatch, narrow):
+        mu = (3, 0, 0, 2)
+        real = zpoly._layout
+
+        def layout(bits, width):
+            B, W = real(bits, width)
+            return (B // 2, W) if narrow == "lanes" else (B, width - 1)
+
+        _E_box.cache_clear()
+        monkeypatch.setattr(zpoly, "_layout", layout)
+        with pytest.raises(InvariantViolation, match="no room"):
+            compute_E(mu)
+        monkeypatch.undo()
+        misses = _E_box.cache_info().misses
+        assert compute_E(mu).poly == reference_walk(mu)
+        # the weight whose box failed and the two after it, up to mu,
+        # were not cached
+        assert _E_box.cache_info().misses == misses + 3
 
 
 class TestNumeratorForm:

@@ -65,21 +65,23 @@ def test_kz_suite_walks_each_orbit_once(monkeypatch):
     # running the reduced word of z_nu from E_lambda for every nu made 370
     calls = []
     tT = hecke._tT
-    monkeypatch.setattr(hecke, "_tT", lambda i, N: calls.append(i) or tT(i, N))
+    monkeypatch.setattr(
+        hecke, "_tT", lambda i, N, ring: calls.append(i) or tT(i, N, ring)
+    )
     macdonald._E_box.cache_clear()
     lines = verify.suite_kz(4)
     assert len(lines) == 280 and all(line.ok for line in lines)
     assert len(calls) == 284
 
 
-def _tT_without_between(i, N):
+def _tT_without_between(i, N, ring):
     """t^(1/2) T_i with the monomials strictly between x^e and x^(s_i e)
     dropped: wrong whenever |e_i - e_(i+1)| >= 2."""
     out = {}
     for e, p in N.items():
         a, b = e[i - 1], e[i]
         se = e[: i - 1] + (b, a) + e[i + 1 :]
-        tp = p.mul_monom((0, 2))
+        tp = ring.t(p)
         if a == b:
             _acc(out, e, tp)
         elif a > b:

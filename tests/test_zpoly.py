@@ -16,7 +16,8 @@ from sympy import ZZ
 from sympy.polys.rings import ring
 
 from maclab import ratfunc
-from maclab.zpoly import QGEN, RING, VGEN, IntPoly2
+from maclab.errors import InvariantViolation
+from maclab.zpoly import QGEN, RING, VGEN, IntPoly2, _kron
 from test_cli import readme_commands
 
 SR = ring("q,v", ZZ)[0]
@@ -166,6 +167,111 @@ class TestFactor:
     )
     def test_what_is_not_cyclotomic_falls_back(self, p):
         _check_factoring(p)
+
+
+class TestKron:
+    """Polynomials packed into ints by Kronecker substitution: the ring
+    operations, the range and guard tests, and certified division."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_dicts, _dicts, st.sampled_from([(16, 8), (32, 13), (128, 8)]))
+    def test_ring_operations(self, x, y, layout):
+        K = _kron(*layout)
+        a, b = IntPoly2(x), IntPoly2(y)
+        A, B = K.pack(a), K.pack(b)
+        assert K.unpack(A) == a and type(K.unpack(A)) is IntPoly2
+        assert K.unpack(A + B) == a + b and K.unpack(A - B) == a - b
+        assert K.unpack(K.t(A)) == a.mul_monom((0, 2))
+        assert K.unpack(K.shift(A, (2, 1))) == a.mul_monom((2, 1))
+        assert K.unpack(K.by(b)(A)) == a * b
+        for c in (1 - q * v**2, v**2 - 1, q**2 - v**4):  # by two shifts
+            assert K.unpack(K.by(c)(A)) == a * c
+
+    @settings(max_examples=100, deadline=None)
+    @given(_dicts, st.integers(0, 4), st.integers(0, 6))
+    def test_range_and_guard(self, x, r, g):
+        K = _kron(16, 7)
+        a = IntPoly2(x)
+        want = all(-(2**r) <= c < 2**r for c in a.values()) and all(
+            j < 7 - g for _, j in a
+        )
+        assert K.fits(K.pack(a), r, g) == want
+
+    def test_out_of_range_refused(self):
+        K = _kron(16, 4)
+        assert K.unpack(K.pack(IntPoly2({(1, 3): -(2**14)}))) == -(2**14) * q * v**3
+        for bad in ({(0, 0): 2**14}, {(0, 4): 1}):
+            with pytest.raises(InvariantViolation):
+                K.pack(IntPoly2(bad))
+        with pytest.raises(InvariantViolation):
+            K.unpack(2**14)  # one lane of 2^14 leaves no 2 bits to spare
+
+    def test_division_that_would_spill_is_refused(self):
+        # v^3 - q = -v^3 (v - 1) as ints in rows of 4, since q packs as v^4:
+        # the quotient's top lane is the guard, so v - 1 does not divide
+        f = ratfunc._intern(v - 1)
+        for W in (4, 8):
+            K = _kron(16, W)
+            P = K.pack(v**3 - q)
+            assert P % K.pack(f.poly) == 0
+            assert K.cancel([P], {f: 1}, 1) == ([P], {f: 1}, 1)
+        assert ratfunc._cancel([v**3 - q], {f: 1}, 1) == ([v**3 - q], {f: 1}, 1)
+
+    def test_division_whose_quotient_could_overflow_is_refused(self):
+        # v - 1 has |f|_1 = 2, so in 16-bit lanes a quotient must stay in
+        # [-2^13, 2^13) for f Q to stay within 2^14 in size
+        f = ratfunc._intern(v - 1)
+        K = _kron(16, 8)
+        for h, divides in ((2**13 - 1, True), (2**13, False), (-(2**13), True)):
+            P = K.pack((v - 1) * h)
+            polys, left, _ = K.cancel([P], {f: 2}, 1)
+            assert (left == {f: 1}) == divides and (polys == [P]) != divides
+        assert K.unpack(K.cancel([K.pack((v - 1) * 5)], {f: 2}, 1)[0][0]) == 5
+
+    def test_q_and_line_factors(self):
+        K = _kron(32, 12)
+        f = ratfunc._intern(q * v**2 - 1)
+        polys = [q**2 * v * (q * v**2 - 1) * 2, q**3 * (q * v**2 - 1)**2 * 4]
+        fac = {ratfunc._FQ: 5, f: 3}
+        got, left, c = K.cancel([K.pack(p) for p in polys], fac, 1)
+        want, wleft, wc = ratfunc._cancel(polys, fac, 1)
+        assert [K.unpack(P) for P in got] == want == [2 * v, 4 * q * (q * v**2 - 1)]
+        assert left == wleft == {ratfunc._FQ: 3, f: 2} and c == wc == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_cyclotomics, min_size=1, max_size=3),
+        st.lists(_dicts.filter(bool), min_size=1, max_size=3),
+        st.integers(1, 3),
+    )
+    def test_cancel_matches_the_field(self, fs, xs, k):
+        fac = {}
+        for f in fs:
+            u, parts = ratfunc._factor(f)
+            for g, m in parts.items():
+                fac[g] = fac.get(g, 0) + m * k
+        prod = RING.one
+        for f in fs:
+            prod = prod * f
+        polys = [prod * IntPoly2(x) for x in xs]
+        K = _kron(64, 96)
+        got, left, c = K.cancel([K.pack(p) for p in polys], fac, 1)
+        want, wleft, wc = ratfunc._cancel(polys, fac, 1)
+        assert [K.unpack(P) for P in got] == want
+        assert left == wleft and c == wc == 1
+
+    def test_fit_repacks_only_when_short_of_room(self):
+        K = _kron(16, 8)
+        polys = [1 - q * v**2, 3 * v**5 - q**2]
+        N = {(e,): K.pack(p) for e, p in enumerate(polys)}
+        assert K.fit(N, 4, 2) == (K, N)
+        for k, d, B in ((4, 3, 16), (2**20, 0, 32), (2**40, 4, 64)):
+            ring, M = K.fit(N, k, d)
+            # room for k-fold coefficients and d more v-degrees
+            assert ring.B == B and ring.W >= 6 + d and M.keys() == N.keys()
+            assert [ring.unpack(M[e]) for e in sorted(M)] == polys
+            r = ring.B - 2 - k.bit_length()
+            assert all(ring.fits(P, r, d) for P in M.values())
 
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
