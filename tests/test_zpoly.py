@@ -8,6 +8,7 @@ import sys
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.rings import ring
 
-from maclab import ratfunc
+from maclab import ratfunc, zpoly
 from maclab.errors import InvariantViolation
 from maclab.zpoly import QGEN, RING, VGEN, IntPoly2, _kron
 from test_cli import readme_commands
@@ -188,6 +189,19 @@ class TestKron:
             assert K.unpack(K.by(c)(A)) == a * c
 
     @settings(max_examples=100, deadline=None)
+    @given(_dicts, st.sampled_from([(16, 8), (32, 13), (64, 5), (128, 8)]))
+    def test_pack_is_the_substitution(self, x, layout):
+        # p(2^(BW), 2^B) computed directly, through memoryview lanes and
+        # through the int.from_bytes lanes a big-endian host reads
+        B, W = layout
+        a = IntPoly2(x)
+        want = sum(c << B * (i * W + j) for (i, j), c in a.items())
+        K = _kron(B, W)
+        assert K.pack(a) == want and K.unpack(want) == a
+        with patch.dict(zpoly._LANES, clear=True):
+            assert K.pack(a) == want and K.unpack(want) == a
+
+    @settings(max_examples=100, deadline=None)
     @given(_dicts, st.integers(0, 4), st.integers(0, 6))
     def test_range_and_guard(self, x, r, g):
         K = _kron(16, 7)
@@ -227,6 +241,13 @@ class TestKron:
             polys, left, _ = K.cancel([P], {f: 2}, 1)
             assert (left == {f: 1}) == divides and (polys == [P]) != divides
         assert K.unpack(K.cancel([K.pack((v - 1) * 5)], {f: 2}, 1)[0][0]) == 5
+
+    def test_cancel_refuses_an_int_part(self):
+        # ratfunc._cancel would divide 2 out of 2 v - 2 and c = 2
+        f = ratfunc._intern(v - 1)
+        K = _kron(16, 8)
+        with pytest.raises(InvariantViolation):
+            K.cancel([K.pack((v - 1) * 2)], {f: 1}, 2)
 
     def test_q_and_line_factors(self):
         K = _kron(32, 12)
@@ -272,6 +293,8 @@ class TestKron:
             assert [ring.unpack(M[e]) for e in sorted(M)] == polys
             r = ring.B - 2 - k.bit_length()
             assert all(ring.fits(P, r, d) for P in M.values())
+            with patch.dict(zpoly._LANES, clear=True):
+                assert K.fit(N, k, d) == (ring, M)
 
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
