@@ -16,7 +16,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import permutations as fperm
 from .errors import InvalidInputError
@@ -57,6 +57,8 @@ class PeriodicPerm:
         if not 0 <= i <= n - 1:
             raise InvalidInputError(f"s_{i} needs 0 <= i <= {n - 1}")
         if i == 0:
+            if n == 1:
+                raise InvalidInputError("s_0 needs n >= 2 (at n = 1 pi alone generates the group)")
             w = list(range(1, n + 1))
             w[0] = 0
             w[n - 1] = n + 1
@@ -164,17 +166,20 @@ def _mul(a: PeriodicPerm, b: PeriodicPerm) -> PeriodicPerm:
     return out
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(namedtuple("AffineRoot", "i j level")):
     """eps_i - eps_j + level * K with i != j in {1..n}."""
 
-    i: int
-    j: int
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.i == self.j:
+    def __new__(cls, i, j, level):
+        if i == j:
             raise InvalidInputError("affine root needs i != j")
+        return super().__new__(cls, i, j, level)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it is checked too
+        return cls(*iterable)
 
     def __str__(self):
         base = f"e{self.i}-e{self.j}"
@@ -199,7 +204,8 @@ def translation(mu) -> PeriodicPerm:
 def word_letters(word):
     """Normalize a word to a tuple of letter tags.
 
-    Accepts tags 's<i>', 'pi', 'pi^-1' (also 'pi-1'/'pi_inv' on input).
+    Accepts tags 's<i>' (i in ASCII digits), 'pi', 'pi^-1' (also
+    'pi-1'/'pi_inv' on input).
     """
     out = []
     for L in word:
@@ -207,7 +213,7 @@ def word_letters(word):
             out.append(L)
         elif L in ("pi-1", "pi_inv"):
             out.append("pi^-1")
-        elif isinstance(L, str) and L.startswith("s") and L[1:].isdigit():
+        elif isinstance(L, str) and L.startswith("s") and L[1:].isascii() and L[1:].isdigit():
             out.append(L)
         else:
             raise InvalidInputError(f"bad word letter {L!r}")
@@ -259,17 +265,11 @@ def word_act_weight(word, mu):
 # the mu decomposition t_mu = u_mu v_mu, u_mu = z_mu u_lambda
 
 
-@dataclass(frozen=True)
-class MuDecomposition:
-    mu: tuple
-    lam: tuple
-    t_mu: PeriodicPerm
-    u_mu: PeriodicPerm
-    v_mu: tuple  # finite, one-line
-    z_mu: tuple  # finite, one-line
-    w0: tuple
-    w_lambda: tuple
-    w_upper_lambda: tuple
+# t_mu and u_mu are PeriodicPerms; v_mu, z_mu, w0, w_lambda and
+# w_upper_lambda finite permutations in one-line notation
+MuDecomposition = namedtuple(
+    "MuDecomposition", "mu lam t_mu u_mu v_mu z_mu w0 w_lambda w_upper_lambda"
+)
 
 
 def decompose_mu(mu) -> MuDecomposition:

@@ -8,9 +8,7 @@ cylindrical coordinates intersected with the extended diagram.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -28,8 +26,9 @@ from .ratfunc import RF_ONE, RF_T, RING, RatFunc, one_minus
 # diagrams and box statistics
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(
+    namedtuple("Diagram", "mu boxes coordinate index attack arm nleg narm u")
+):
     """dg(mu): the boxes (i, j), 1 <= j <= mu_i, in cylindrical order, with
     their coordinates and per-box statistics.
 
@@ -38,17 +37,13 @@ class Diagram:
     (a basement box (i', 0) counts mu_i'); nleg[b] = mu_i - j,
     narm[b] = #arm[b] and u[b] = u_mu(b).  `Diagram.of(mu)` builds each
     weight once.
+
+    mu and boxes are tuples; the other fields are read-only Mappings
+    keyed by box: coordinate[b] = i + n*j and index[b] is b's position
+    in boxes.
     """
 
-    mu: tuple
-    boxes: tuple
-    coordinate: Mapping  # box -> i + n*j
-    index: Mapping  # box -> its position in boxes
-    attack: Mapping
-    arm: Mapping
-    nleg: Mapping
-    narm: Mapping
-    u: Mapping
+    __slots__ = ()
 
     @staticmethod
     def of(mu) -> "Diagram":
@@ -174,12 +169,9 @@ def qt_special_count(shape: str, n: int, r: int) -> int:
 # fillings
 
 
-@dataclass(frozen=True, slots=True)
-class Filling:
-    mu: tuple
-    z: tuple
-    values: tuple  # box values in cylindrical order
-    kind: str = "nonattacking"
+# values: the box values in cylindrical order
+class Filling(namedtuple("Filling", "mu z values kind", defaults=("nonattacking",))):
+    __slots__ = ()
 
     def value(self, i, j):
         """The entry of cell (i, j): z_i in the basement (j = 0,
@@ -207,29 +199,6 @@ class Filling:
         }
 
 
-def _slot_constructor(cls):
-    """For a frozen slots dataclass of four fields, a function that
-    makes cls(a, b, c, d) from fields that are already checked.  The
-    dataclass's __init__ sets each field through object.__setattr__; the
-    slot descriptors set them at about half the cost."""
-    set_a, set_b, set_c, set_d = (cls.__dict__[f.name].__set__ for f in fields(cls))
-    new = object.__new__
-
-    def make(a, b, c, d):
-        obj = new(cls)
-        set_a(obj, a)
-        set_b(obj, b)
-        set_c(obj, c)
-        set_d(obj, d)
-        return obj
-
-    return make
-
-
-# Filling(mu, z, values, kind)
-_filling = _slot_constructor(Filling)
-
-
 def enumerate_fillings(mu, z, kind: str = "nonattacking"):
     """All fillings of dg(mu) over the basement z, nonattacking or (kind
     'queue') queue tableaux, values in cylindrical box order, in
@@ -250,7 +219,7 @@ def enumerate_fillings(mu, z, kind: str = "nonattacking"):
     allowed, earlier = _search_table(d, z, kind == "queue")
     mu, m = d.mu, len(allowed)
     if not m:
-        return [_filling(mu, z, (), kind)]
+        return [Filling(mu, z, (), kind)]
     out = []
     values = [0] * m
     last = m - 1
@@ -262,7 +231,7 @@ def enumerate_fillings(mu, z, kind: str = "nonattacking"):
             taken = {values[p] for p in earlier[k]}
             for v in allowed[k]:
                 if v not in taken:
-                    out.append(_filling(mu, z, head + (v,), kind))
+                    out.append(Filling(mu, z, head + (v,), kind))
             k -= 1
             continue
         left = todo[k]
@@ -425,19 +394,17 @@ def pipedream_invert(P, mu, z) -> Filling:
             base += n + 1
     if 0 in values:
         raise InvalidInputError(f"pipe dream misses box {d.boxes[values.index(0)]}")
-    return _filling(d.mu, z, tuple(values), "nonattacking")
+    return Filling(d.mu, z, tuple(values), "nonattacking")
 
 
 # ---------------------------------------------------------------------------
 # alcove walks
 
 
-@dataclass(frozen=True, slots=True)
-class AlcoveWalk:
-    mu: tuple
-    z: tuple
-    word: tuple  # letters of the reduced word for u_mu
-    folds: tuple  # per s-letter: False = cross, True = fold
+# word: the letters of the reduced word for u_mu; folds: per s-letter,
+# False = cross, True = fold
+class AlcoveWalk(namedtuple("AlcoveWalk", "mu z word folds")):
+    __slots__ = ()
 
     @property
     def states(self):
@@ -467,10 +434,6 @@ class AlcoveWalk:
         return " ".join(bits)
 
 
-# AlcoveWalk(mu, z, word, folds)
-_walk = _slot_constructor(AlcoveWalk)
-
-
 def iter_walks(mu, z):
     """Generate all alcove walks of type (z, box-greedy word of u_mu).
 
@@ -482,7 +445,7 @@ def iter_walks(mu, z):
     z = fperm.check_perm(z, len(mu))
     word = box_greedy_word(mu)
     for folds in product((False, True), repeat=s_count(word)):
-        yield _walk(mu, z, word, folds)
+        yield AlcoveWalk(mu, z, word, folds)
 
 
 def enumerate_walks(mu, z):
@@ -491,18 +454,14 @@ def enumerate_walks(mu, z):
     return list(iter_walks(mu, z))
 
 
-@dataclass(frozen=True, slots=True)
-class PathSegment:
-    kind: str  # 'c', 'f', or 'omega'
-    direction: tuple  # vector in Q^n
-    root: object = None  # AffineRoot for folds
+# kind: 'c', 'f', or 'omega'; direction: a vector in Q^n; root: the
+# AffineRoot of a fold
+PathSegment = namedtuple("PathSegment", "kind direction root", defaults=(None,))
 
 
-@dataclass(frozen=True, slots=True)
-class PathRealization:
-    walk: AlcoveWalk
-    segments: tuple
-    rho: tuple
+# the AlcoveWalk, its PathSegments and rho
+class PathRealization(namedtuple("PathRealization", "walk segments rho")):
+    __slots__ = ()
 
     def endpoint(self):
         out = [Fraction(0)] * len(self.rho)

@@ -30,7 +30,7 @@ reduced word and f_mu is E_lambda^(z_mu), F_mu and P_lambda by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -43,15 +43,8 @@ from .ratfunc import RF_ONE, RF_T, RatFunc, _cancel_common, _lift, one_minus
 from .zpoly import _kron
 
 
-@dataclass(frozen=True)
-class EigenData:
-    """The scalars of the H-action at (mu, i)."""
-
-    mu: tuple
-    i: int
-    a_mu: RatFunc
-    a_simu: RatFunc
-    d_mu: RatFunc
+# the scalars (RatFuncs a_mu, a_simu and d_mu) of the H-action at (mu, i)
+EigenData = namedtuple("EigenData", "mu i a_mu a_simu d_mu")
 
 
 def _a_mu(mu, i: int) -> RatFunc:
@@ -87,12 +80,8 @@ def eigenvalue(mu, i: int) -> RatFunc:
     )
 
 
-@dataclass(frozen=True)
-class MacdonaldResult:
-    mu: tuple
-    poly: LaurentPoly
-    route: str
-    z: tuple | None = None
+# poly: a LaurentPoly; z: the basement of a relative E_mu^z, else None
+MacdonaldResult = namedtuple("MacdonaldResult", "mu poly route z", defaults=(None,))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +204,7 @@ def compute_f(mu) -> MacdonaldResult:
     is E_lambda^(z_mu)."""
     mu = check_weight(mu, nonneg=True)
     lam = tuple(sorted(mu, reverse=True))
-    return replace(compute_E_rel(lam, fperm.min_coset_rep(mu)), mu=mu)
+    return compute_E_rel(lam, fperm.min_coset_rep(mu))._replace(mu=mu)
 
 
 def _orbit_forms(lam):
@@ -494,11 +483,7 @@ def closed_n2(mu) -> MacdonaldResult:
 # verification reports
 
 
-@dataclass(frozen=True)
-class CheckLine:
-    name: str
-    ok: bool
-    detail: str = ""
+CheckLine = namedtuple("CheckLine", "name ok detail", defaults=("",))
 
 
 def _check(name: str, n: int, sides) -> CheckLine:

@@ -15,10 +15,12 @@ product of irreducible primitive polynomials f^k with positive leading
 coefficient (q and v among them); `den` multiplies it out on demand.
 The Macdonald denominators are products of binomials 1 - q^a t^b, so
 their factors are few and come back again and again.  One rule,
-`_cancel`, serves the constructor, `+`, `*` and the walk's common
-factors: trial division by the largest power of each known factor that
-divides all the polynomials at hand (q and v at their lowest exponent,
-in one step), then by their integer content; never a gcd.  Most factors
+`_cancel`, serves the constructor, `+` and `*`: trial division by the
+largest power of each known factor that divides all the polynomials at
+hand (q and v at their lowest exponent, in one step), then by their
+integer content; never a gcd.  The E_mu walk's common factors come off
+its packed numerators in `zpoly._Kron.cancel`, for which `_cancel` is
+the reference its tests compare against.  Most factors
 are g(q^a v^b) for a univariate g, and dividing by one splits a
 polynomial into univariate lines over q^a v^b.  A new denominator (from
 `inverse`, `/` or the two-argument constructor) is factored once: what

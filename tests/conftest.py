@@ -1,6 +1,5 @@
 """Shared helpers for the test suite."""
 
-import dataclasses
 import itertools
 import random
 
@@ -103,7 +102,7 @@ def plant_wrong_scalar(monkeypatch, suite):
 
         def wrong(mu, i):
             ed = real(mu, i)
-            return dataclasses.replace(ed, d_mu=ed.d_mu * Q)
+            return ed._replace(d_mu=ed.d_mu * Q)
 
         monkeypatch.setattr(macdonald, "eigen_data", wrong)
     else:

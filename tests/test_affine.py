@@ -62,6 +62,26 @@ class TestGroup:
             lhs = translation((1,) + (0,) * (n - 2) + (-1,)) * prod
             assert PeriodicPerm.s(0, n) == lhs
 
+    def test_s0_is_an_involution(self):
+        for n in range(2, 6):
+            s0 = PeriodicPerm.s(0, n)
+            assert s0 != PeriodicPerm.identity(n)
+            assert s0 * s0 == PeriodicPerm.identity(n)
+
+    def test_no_s0_at_rank_one(self):
+        # at n = 1 the group is generated by pi alone
+        with pytest.raises(InvalidInputError):
+            PeriodicPerm.s(0, 1)
+        with pytest.raises(InvalidInputError):
+            word_eval(["s0"], 1)
+
+    def test_letter_index_is_ascii_digits(self):
+        # "²" and "٣" pass str.isdigit, and int() refuses the first
+        for bad in ("s²", "s٣", "s", "s-1", "s 1"):
+            with pytest.raises(InvalidInputError):
+                word_eval([bad], 3)
+        assert word_eval(["s2"], 3) == word_eval(["s02"], 3)
+
     def test_braid_and_quadratic(self):
         n = 4
         for i in range(1, n):

@@ -11,7 +11,7 @@ import pytest
 from conftest import Q, T, compositions, frac, partitions_in
 from maclab import diagrams, macdonald
 from maclab import permutations as fperm
-from maclab.affine import AffineRoot, PeriodicPerm, word_eval
+from maclab.affine import AffineRoot, PeriodicPerm, decompose_mu, word_eval
 from maclab.diagrams import (
     Diagram,
     Filling,
@@ -36,7 +36,7 @@ from maclab.diagrams import (
 )
 from maclab.errors import InvalidInputError
 from maclab.laurent import LaurentPoly
-from maclab.macdonald import compute_E, compute_E_rel, compute_P
+from maclab.macdonald import compute_E, compute_E_rel, compute_f, compute_P
 from maclab.ratfunc import RF_ONE, RING, RatFunc, one_minus
 
 
@@ -904,3 +904,46 @@ def test_enumerators_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+RECORDS = {
+    "AffineRoot": lambda: AffineRoot(1, 2, 0),
+    "MuDecomposition": lambda: decompose_mu((2, 0, 1)),
+    "Diagram": lambda: Diagram.of((2, 0, 1)),
+    "Filling": lambda: enumerate_fillings((1, 0, 1), (2, 1, 3))[0],
+    "AlcoveWalk": lambda: enumerate_walks((1, 0, 1), (2, 1, 3))[1],
+    "PathSegment": lambda: walk_geometry(enumerate_walks((1, 0, 1), (2, 1, 3))[1]).segments[0],
+    "PathRealization": lambda: walk_geometry(enumerate_walks((1, 0, 1), (2, 1, 3))[1]),
+    "EigenData": lambda: macdonald.eigen_data((1, 0), 1),
+    "MacdonaldResult": lambda: compute_E_rel((1, 0, 0), (2, 1, 3)),
+    "CheckLine": lambda: macdonald.verify_eigen((1, 0))[0],
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    rec = RECORDS[name]()
+    assert type(rec).__name__ == name
+    # immutable, and no instance dict to take a new attribute
+    with pytest.raises(AttributeError):
+        setattr(rec, rec._fields[0], None)
+    with pytest.raises(AttributeError):
+        rec.extra = None
+    again = RECORDS[name]()._replace()
+    assert again == rec and type(again) is type(rec)
+    if name != "Diagram":  # its fields are read-only mappings, unhashable
+        assert hash(again) == hash(rec)
+
+
+def test_affine_root_record():
+    r = AffineRoot(1, 2, 0)
+    assert repr(r) == "AffineRoot(i=1, j=2, level=0)"
+    assert str(r) == "e1-e2"
+    for build in (
+        lambda: AffineRoot(2, 2, 0),
+        lambda: AffineRoot._make((2, 2, 0)),
+        lambda: r._replace(j=1),
+    ):
+        with pytest.raises(InvalidInputError):
+            build()
+    assert compute_f((1, 2, 0)).mu == (1, 2, 0)
