@@ -121,10 +121,6 @@ class PeriodicPerm:
             out[r] = mu[i] + (val - 1 - r) // n
         return tuple(out)
 
-    def projection(self) -> tuple:
-        """Finite part v of self = t_mu v (one-line notation)."""
-        return tuple((x - 1) % self.n + 1 for x in self.window)
-
     def inversions(self):
         """Affine roots for pairs (a, b), 1 <= a <= n, a < b, w(a) > w(b)."""
         n = self.n
@@ -142,18 +138,7 @@ class PeriodicPerm:
         return out
 
     def length(self) -> int:
-        n = self.n
-        total = 0
-        for a in range(1, n + 1):
-            wa = self.apply(a)
-            for j in range(1, n + 1):
-                if j == a:
-                    continue
-                wj = self.apply(j)
-                start = 0 if j > a else 1
-                if wa > wj + start * n:
-                    total += (wa - wj - start * n - 1) // n + 1
-        return total
+        return len(self.inversions())
 
 
 def _mul(a: PeriodicPerm, b: PeriodicPerm) -> PeriodicPerm:
@@ -244,21 +229,6 @@ def word_eval(word, n: int):
             step = PeriodicPerm.s(i, n)
         w = w * step
     return w, s_count(word) == w.length()
-
-
-def word_act_weight(word, mu):
-    """Apply a word to a weight, rightmost letter first."""
-    mu = check_weight(mu)
-    n = len(mu)
-    for L in reversed(word_letters(word)):
-        if L == "pi":
-            mu = (mu[-1] + 1,) + mu[:-1]
-        elif L == "pi^-1":
-            mu = mu[1:] + (mu[0] - 1,)
-        else:
-            i = int(L[1:])
-            mu = mu[: i - 1] + (mu[i], mu[i - 1]) + mu[i + 1 :]
-    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +340,3 @@ def column_greedy_word(mu):
         word.extend(["pi"] * r)
         cur = (0,) * (n - r) + tuple(cur[j - 1] - 1 for j in J)
     return tuple(word)
-
-
-def length_translation(mu) -> int:
-    """l(t_mu) = sum over pairs of |mu_i - mu_j|."""
-    mu = check_weight(mu)
-    n = len(mu)
-    return sum(
-        abs(mu[i] - mu[j]) for i in range(n) for j in range(i + 1, n)
-    )

@@ -3,8 +3,8 @@
 Verbs: E, P, f, F, count, word, inv, fillings, walks, verify.
 Output is byte-deterministic for a fixed command; JSON documents carry
 the schema tag "macdonald-lab/1".  Exit codes: 0 success, 1 verification
-failure, 2 malformed input, 3 internal error (a failed invariant or a
-stray ValueError, i.e. a bug rather than bad input).
+failure, 2 malformed input, 3 internal error (a failed invariant or any
+other unexpected exception, i.e. a bug rather than bad input).
 """
 
 from __future__ import annotations
@@ -260,12 +260,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvariantViolation, ValueError) as e:
+    except InvariantViolation as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     except MacLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

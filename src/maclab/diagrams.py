@@ -156,15 +156,6 @@ def count(mu, what: str):
     return prod
 
 
-def qt_special_count(shape: str, n: int, r: int) -> int:
-    """#QT closed forms: n^(r-1) for both (r,0,...,0) and (r,...,r,0)."""
-    if r < 1:
-        raise InvalidInputError("need r >= 1")
-    if shape not in ("row", "rect"):
-        raise InvalidInputError("shape is 'row' (r,0,..,0) or 'rect' (r,..,r,0)")
-    return n ** (r - 1)
-
-
 # ---------------------------------------------------------------------------
 # fillings
 
@@ -184,9 +175,6 @@ class Filling(namedtuple("Filling", "mu z values kind", defaults=("nonattacking"
                 f"({i}, {j}) is neither a basement cell nor a box of dg({self.mu})"
             )
         return self.values[k]
-
-    def as_dict(self):
-        return dict(zip(Diagram.of(self.mu).boxes, self.values))
 
     def to_json_obj(self):
         return {

@@ -16,8 +16,6 @@ from operator import index
 from .errors import InvalidInputError
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 
-Weight = tuple  # vector of n integers
-
 
 def check_weight(mu, n=None, nonneg=False):
     """Validate a weight vector of integers and return it as a tuple."""

@@ -11,7 +11,6 @@ s_{i_1} ... s_{i_l} the rightmost letter acts first.
 
 from __future__ import annotations
 
-from itertools import permutations as _it_permutations
 from operator import index
 
 from .errors import InvalidInputError
@@ -57,8 +56,7 @@ def inverse(w):
 
 def length(w):
     """Number of inversions."""
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return len(inversions(w))
 
 
 def inversions(w):
@@ -95,18 +93,6 @@ def reduced_word(w):
         a = w.index(winv_desc)
         b = w.index(winv_desc + 1)
         w[a], w[b] = w[b], w[a]
-
-
-def act_weight(w, mu):
-    """(w mu)_{w(i)} = mu_i, the place permutation on weight vectors."""
-    out = [0] * len(mu)
-    for i, x in enumerate(w):
-        out[x - 1] = mu[i]
-    return tuple(out)
-
-
-def all_perms(n):
-    return [tuple(p) for p in _it_permutations(range(1, n + 1))]
 
 
 def longest_element(n):

@@ -71,11 +71,6 @@ def poly_from_terms(terms):
     return p
 
 
-def poly_terms(p):
-    """Terms of an IntPoly2 as ((q_exp, v_exp), int) in lex-descending order."""
-    return p.terms()
-
-
 def _eval_poly(p, q0: Fraction, v0: Fraction) -> Fraction:
     total = Fraction(0)
     for (eq, ev), c in p.items():
@@ -407,6 +402,15 @@ def _dense_exquo(h, g):
     return None if any(h[:dg]) else quo
 
 
+def _as_poly(x):
+    """x as an IntPoly2, an int as a constant; other types (bool too) raise."""
+    if type(x) is IntPoly2:
+        return x
+    if type(x) is not int:
+        raise InvalidInputError(f"{x!r} is neither an IntPoly2 nor an int")
+    return RING.ground_new(x)
+
+
 def _make(num, c, fac):
     r = object.__new__(RatFunc)
     r.num = num
@@ -418,15 +422,16 @@ def _make(num, c, fac):
 class RatFunc:
     """An element of Q(q, v), kept in canonical reduced form.
 
+    Built from num and den (default 1), each an IntPoly2 or an int.
     `num` is the numerator; the denominator is a positive int times a
     product of irreducible factors, and `den` is that product.
     """
 
     __slots__ = ("num", "_c", "_fac")
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = _ONE
+    def __init__(self, num, den=_ONE):
+        if type(num) is not IntPoly2 or type(den) is not IntPoly2:
+            num, den = _as_poly(num), _as_poly(den)
         if not den:
             raise ZeroDenominatorError("denominator is zero")
         if not num:
@@ -449,10 +454,6 @@ class RatFunc:
         return d
 
     # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def from_int(k) -> "RatFunc":
-        return _make(RING.ground_new(k), 1, {})
 
     @staticmethod
     def q_power(k: int) -> "RatFunc":
@@ -632,7 +633,7 @@ class RatFunc:
             return f"{name}^{{{e}}}" if latex else f"{name}^{e}"
 
         parts = []
-        for (eq, ev), c in poly_terms(p):
+        for (eq, ev), c in p.terms():
             if ev % 2 and not in_v:
                 raise InvalidInputError(
                     "odd power of t^(1/2); cannot render in q, t"
@@ -724,7 +725,7 @@ RF_T = RatFunc.t_power(1)
 
 
 def rf_normalize(num, den) -> RatFunc:
-    """Canonical representative of num/den; num, den are IntPoly2."""
+    """Canonical representative of num/den; num, den are IntPoly2 or int."""
     return RatFunc(num, den)
 
 

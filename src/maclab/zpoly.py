@@ -13,10 +13,11 @@ polynomial prints as sympy prints the same element of ZZ[q, v]:
 >>> RING.zero, RING.ground_new(-3), (q - 1).LC
 (0, -3, 1)
 
-`div`, `rem`, `gcd`, `cofactors` and `factor_list` go through sympy
+`div`, `gcd`, `cofactors` and `factor_list` go through sympy
 (`_sympy`), which is imported on their first use only.  `ratfunc`
-calls them only for a factor that is not a line g(q^a v^b) and for a
-denominator that is not a product of cyclotomics in monomials.
+calls `div` only for a factor that is not a line g(q^a v^b), and
+`factor_list` only for a denominator that is not a product of
+cyclotomics in monomials; no library code calls `gcd` or `cofactors`.
 
 `_Kron` packs an element of Z[q, v] into one Python int by Kronecker
 substitution (v = 2^B, q = 2^(BW)): the walk that builds E_mu keeps its
@@ -149,10 +150,6 @@ class IntPoly2(dict):
         """[((q_exp, v_exp), coefficient)], lex-descending with q > v."""
         return sorted(self.items(), reverse=True)
 
-    def monoms(self):
-        """The monomials, lex-descending with q > v."""
-        return sorted(self, reverse=True)
-
     @property
     def LC(self):
         """The coefficient of the lex-largest monomial (0 for zero)."""
@@ -208,10 +205,6 @@ class IntPoly2(dict):
         """(quotient, remainder) of sympy's division by g."""
         quo, rem = _sympy(self).div(_sympy(g))
         return _from_sympy(quo), _from_sympy(rem)
-
-    def rem(self, g):
-        """The remainder of sympy's division by g."""
-        return _from_sympy(_sympy(self).rem(_sympy(g)))
 
     def gcd(self, g):
         """The gcd with g, with positive leading coefficient."""

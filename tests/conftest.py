@@ -70,7 +70,7 @@ def random_laurent(rng: random.Random, n, deg=4, terms=5) -> LaurentPoly:
             e[rng.randrange(n)] += 1
         c = rng.randint(-3, 3)
         if c:
-            out[tuple(e)] = RatFunc.from_int(c)
+            out[tuple(e)] = RatFunc(c)
     return LaurentPoly(n, out)
 
 

@@ -7,6 +7,7 @@ comparisons are exact in Q(q, t).
 
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -22,14 +23,12 @@ from maclab.diagrams import (
     iter_walks,
     pipedream_convert,
     pipedream_invert,
-    qt_special_count,
 )
 from maclab.affine import (
     PeriodicPerm,
     box_greedy_word,
     column_greedy_word,
     decompose_mu,
-    length_translation,
     translation,
     u_element,
     word_eval,
@@ -219,7 +218,7 @@ def test_criterion_05_counting():
     rng = random.Random(97)
     for n in (1, 2, 3, 4):
         zs = {fperm.identity(n)}
-        while len(zs) < min(3, len(fperm.all_perms(n))):
+        while len(zs) < min(3, math.factorial(n)):
             z = list(range(1, n + 1))
             rng.shuffle(z)
             zs.add(tuple(z))
@@ -253,8 +252,8 @@ def test_criterion_05_counting():
         for r in (1, 2, 3):
             row = (r,) + (0,) * (n - 1)
             rect = (r,) * (n - 1) + (0,)
-            assert len(enumerate_fillings(row, zid, "queue")) == qt_special_count("row", n, r)
-            assert len(enumerate_fillings(rect, zid, "queue")) == qt_special_count("rect", n, r)
+            assert len(enumerate_fillings(row, zid, "queue")) == n ** (r - 1)
+            assert len(enumerate_fillings(rect, zid, "queue")) == n ** (r - 1)
     report(5, "counting formulas vs brute force on n <= 4, parts <= 3, 3 basements")
 
 
@@ -268,7 +267,7 @@ def test_criterion_06_words_and_inversions():
     assert d.u_mu.length() == 23
     assert fperm.length(d.v_mu) == 3
     assert fperm.length(d.z_mu) == 6
-    assert length_translation(d.lam) == 26
+    assert translation(d.lam).length() == 26
     for word in (box_greedy_word(mu), column_greedy_word(mu)):
         el, reduced = word_eval(word, 5)
         assert el == d.u_mu and reduced

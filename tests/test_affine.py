@@ -15,11 +15,9 @@ from maclab.affine import (
     boxes_of,
     column_greedy_word,
     decompose_mu,
-    length_translation,
     translation,
     u_element,
     u_stat,
-    word_act_weight,
     word_eval,
 )
 from maclab.errors import InvalidInputError
@@ -116,11 +114,14 @@ class TestWeightAction:
             assert reduced
             assert u.act_weight((0,) * len(mu)) == mu
 
-    def test_word_act_weight_matches_group_action(self):
-        word = ["pi", "s2", "s1", "pi"]
-        el, _ = word_eval(word, 3)
-        mu = (1, 0, 2)
-        assert word_act_weight(word, mu) == el.act_weight(mu)
+    def test_finite_permutation_moves_places(self):
+        # a finite w puts mu_i at position w(i)
+        mu = (7, -2, 5)
+        for w in itertools.permutations((1, 2, 3)):
+            want = [None] * 3
+            for i, x in enumerate(w):
+                want[x - 1] = mu[i]
+            assert PeriodicPerm.from_finite(w).act_weight(mu) == tuple(want), w
 
     def test_weight_orbit_is_the_distinct_permutations_in_order(self):
         # the distinct tuples of itertools.permutations, in the order it
@@ -142,6 +143,11 @@ class TestInversions:
 
     def test_identity_empty(self):
         assert PeriodicPerm.identity(4).inversions() == []
+
+    def test_finite_length_counts_inverted_pairs(self):
+        for w in itertools.permutations((1, 2, 3, 4)):
+            want = sum(1 for a, b in itertools.combinations(w, 2) if a > b)
+            assert fperm.length(w) == want, w
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_small_translation_inversion_tables(self, n):
@@ -188,7 +194,14 @@ class TestTranslation:
         assert translation((1, 0, 0)).window == (4, 2, 3)
 
     def test_length_of_t_lambda(self):
-        assert length_translation((5, 4, 4, 1, 0)) == 26
+        assert translation((5, 4, 4, 1, 0)).length() == 26
+
+    def test_length_is_sum_of_part_differences(self):
+        # l(t_mu) = sum over i < j of |mu_i - mu_j|
+        for n in range(1, 5):
+            for mu in itertools.product(range(4), repeat=n):
+                want = sum(abs(a - b) for a, b in itertools.combinations(mu, 2))
+                assert translation(mu).length() == want, mu
 
     def test_pi_power_is_translation(self):
         got, _ = word_eval(["pi"] * 4, 4)
@@ -202,7 +215,7 @@ class TestDecomposition:
         assert fperm.length(d.z_mu) == 6
         assert fperm.length(d.v_mu) == 3
         assert d.u_mu.length() == 23
-        assert length_translation(d.lam) == 26
+        assert translation(d.lam).length() == 26
 
     def test_decreasing_gives_trivial_z(self):
         d = decompose_mu((5, 3, 2, 0))
@@ -226,8 +239,8 @@ class TestDecomposition:
             assert d.u_mu.length() == fperm.length(d.z_mu) + decompose_mu(
                 d.lam
             ).u_mu.length()
-            assert fperm.act_weight(d.z_mu, d.lam) == mu
-            moved = fperm.act_weight(d.v_mu, mu)
+            assert z_pp.act_weight(d.lam) == mu
+            moved = v_pp.act_weight(mu)
             assert list(moved) == sorted(moved)
             assert fperm.compose(d.w_upper_lambda, d.w_lambda) == d.w0
             # v_mu = v_lambda z_mu^-1 with v_lambda = w0 w_lambda, matching
@@ -269,7 +282,7 @@ class TestWords:
                 assert sum(nu) == sum(mu) - 1
                 # the block's letters, run on nu, end at mu
                 block = tuple(f"s{k}" for k in range(u, 0, -1)) + ("pi",)
-                assert word_act_weight(block, nu) == mu, mu
+                assert word_eval(block, n)[0].act_weight(nu) == mu, mu
 
     def test_column_greedy_examples(self):
         assert column_greedy_word((1, 1, 0)) == ("pi", "pi")
@@ -319,14 +332,9 @@ class TestWords:
 
 
 class TestProjection:
-    def test_translation_projects_to_identity(self):
-        assert translation((3, 0, 2)).projection() == (1, 2, 3)
-
     def test_pi_projects_to_cycle(self):
-        assert PeriodicPerm.pi(3).projection() == (2, 3, 1)
-        # consistent with pi = t_eps1 s1 s2 by window arithmetic
+        # pi = t_eps1 s1 s2 by window arithmetic, and s1 s2 is the cycle
+        # (2, 3, 1), the finite part of pi
         prod, _ = word_eval(["s1", "s2"], 3)
+        assert prod == PeriodicPerm.from_finite((2, 3, 1))
         assert PeriodicPerm.pi(3) == translation((1, 0, 0)) * prod
-
-    def test_simple_projects_to_itself(self):
-        assert PeriodicPerm.s(2, 4).projection() == (1, 3, 2, 4)

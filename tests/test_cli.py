@@ -483,10 +483,17 @@ class TestExitCodes:
         assert "0/1" in out
 
     @pytest.mark.parametrize(
-        "error", [InvariantViolation("broken"), ValueError("stray")]
+        "error",
+        [
+            InvariantViolation("broken"),
+            ValueError("stray"),
+            TypeError("stray"),
+            RecursionError("too deep"),
+        ],
     )
     def test_bug_exits_three(self, capsys, monkeypatch, error):
-        # a failed invariant or a stray ValueError is a bug, not bad input
+        # a failed invariant or any other unexpected exception is a bug,
+        # not bad input
         from maclab import cli
 
         def fail(mu):

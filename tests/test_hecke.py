@@ -158,7 +158,7 @@ class TestSharedDenominator:
     @given(laurent_polys(3))
     def test_symmetrize_sum_matches_brute_force(self, f):
         want = LaurentPoly.zero(3)
-        for z in fperm.all_perms(3):
+        for z in itertools.permutations((1, 2, 3)):
             word = fperm.reduced_word(z)
             want = want + reference_word(word, f).scale(
                 RatFunc.v_power(len(word))
